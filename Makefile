@@ -19,7 +19,7 @@
 # experiment and promotes the result into test/golden/ — run it (and
 # commit the diff) after an intentional output change.
 
-.PHONY: all build test test-segdp bench bench-json bench-pool bench-dp bench-dp-smoke bench-serve bench-serve-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
+.PHONY: all build test test-segdp bench bench-json bench-pool bench-dp bench-dp-smoke bench-serve bench-serve-smoke perfbench-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
 
 all: build
 
@@ -55,6 +55,14 @@ bench-serve:
 
 bench-serve-smoke:
 	dune exec bench/main.exe -- serve --serve-flows=300 --serve-days=2
+
+# One short run of the repository benchmark's grid workload
+# (perfbench/README.md): it builds perfbench/main.exe, renders the paper
+# grid on all four legs (serial, 2-domain pool, exec:2 fleet, warm disk
+# CAS), checks every render against the goldens and the serial
+# reference, and exits non-zero if any output is wrong.
+perfbench-smoke:
+	python3 perfbench/run.py --workload grid --seed 1 --seconds 1 --trace 0
 
 # Rewrite test/golden/*.expected from the current code. The second
 # pass re-checks the diffs so a failed promote cannot pass silently.

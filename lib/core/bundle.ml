@@ -75,7 +75,13 @@ let member_of t ~n_flows =
   Array.iteri (fun b group -> Array.iter (fun i -> owner.(i) <- b) group) t;
   owner
 
-let gather t values = Array.map (fun group -> Array.map (fun i -> values.(i)) group) t
+let gather t (values : float array) =
+  Array.map
+    (fun group ->
+      let g = Array.make (Array.length group) 0. in
+      Array.iteri (fun k i -> g.(k) <- values.(i)) group;
+      g)
+    t
 
 let pp ppf t =
   Format.fprintf ppf "%d bundles (sizes:" (count t);

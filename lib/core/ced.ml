@@ -31,9 +31,8 @@ let check_bundle valuations costs =
 let bundle_price_pow ~alpha ~pow_valuations ~costs =
   check_alpha alpha;
   check_bundle pow_valuations costs;
-  let n = Array.length pow_valuations in
   alpha
-  *. Numerics.Stats.sum_init n (fun i -> costs.(i) *. pow_valuations.(i))
+  *. Numerics.Stats.sum_products costs pow_valuations
   /. ((alpha -. 1.) *. Numerics.Stats.sum pow_valuations)
 
 let bundle_price ~alpha ~valuations ~costs =
@@ -63,7 +62,9 @@ let gamma ~alpha ~p0 ~valuations ~rel_costs =
   let fva = Array.map2 (fun f w -> f *. w) rel_costs va in
   p0 *. (alpha -. 1.) *. Numerics.Stats.sum va /. (alpha *. Numerics.Stats.sum fva)
 
-let consumer_surplus ~alpha ~v p =
-  let q = demand ~alpha ~v p in
+let surplus_of_demand ~alpha ~v ~q p =
   let exponent = 1. -. (1. /. alpha) in
   (v *. (q ** exponent) /. exponent) -. (p *. q)
+
+let consumer_surplus ~alpha ~v p =
+  surplus_of_demand ~alpha ~v ~q:(demand ~alpha ~v p) p

@@ -52,3 +52,7 @@ val gamma :
 val consumer_surplus : alpha:float -> v:float -> float -> float
 (** [consumer_surplus ~alpha ~v p]: area between the demand curve and
     the price, [v * Q^(1 - 1/alpha) / (1 - 1/alpha) - p * Q]. *)
+
+val surplus_of_demand : alpha:float -> v:float -> q:float -> float -> float
+(** [surplus_of_demand ~alpha ~v ~q p] is [consumer_surplus ~alpha ~v p]
+    given [q = demand ~alpha ~v p] already computed (bit-identical). *)

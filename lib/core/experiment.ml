@@ -86,8 +86,9 @@ let dataset_cache : Flow.t array Engine.Cache.t =
   Engine.Cache.create ~name:"dataset" ~schema:"dataset/1" ()
 
 let market_cache : Market.t Engine.Cache.t =
-  (* market/2: Market.t grew the lazily-filled memo field. *)
-  Engine.Cache.create ~name:"market" ~schema:"market/2" ()
+  (* market/2: Market.t grew the lazily-filled memo field.
+     market/3: the memo grew the profit and cost sort orders. *)
+  Engine.Cache.create ~name:"market" ~schema:"market/3" ()
 
 let context_cache : Capture.context Engine.Cache.t =
   Engine.Cache.create ~name:"context" ~schema:"context/1" ()

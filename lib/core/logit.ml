@@ -43,44 +43,77 @@ let gamma ~alpha ~p0 ~s0 ~valuations ~rel_costs =
   let wf = Array.map2 (fun wi f -> wi *. f) w rel_costs in
   (p0 -. margin) *. Numerics.Stats.sum w /. Numerics.Stats.sum wf
 
-let shares ~alpha ~valuations ~prices =
+(* The choice exponents [alpha (v_i - p_i)] followed by the outside
+   option's exponent 0, in one array: [logsumexp] over it is [ln Z], and
+   the first [n] slots give the per-flow shares. The kernels below fill
+   and read it with plain loops (no flambda: a closure per element would
+   box every float). *)
+let exponents ~alpha ~valuations ~prices =
   check_alpha alpha;
   check_lengths valuations prices;
-  let exponents = Array.map2 (fun v p -> alpha *. (v -. p)) valuations prices in
-  (* Include the no-purchase option as exponent 0. *)
-  let ln_z = Numerics.Stats.logsumexp (Array.append exponents [| 0. |]) in
-  (Array.map (fun x -> exp (x -. ln_z)) exponents, exp (-.ln_z))
+  let n = Array.length valuations in
+  let e = Array.make (n + 1) 0. in
+  for i = 0 to n - 1 do
+    e.(i) <- alpha *. (valuations.(i) -. prices.(i))
+  done;
+  e
+
+(* [scale * e^(e_i - ln_z)] for the [n] flow slots of [e]. *)
+let scaled_shares e ~ln_z ~scale =
+  let n = Array.length e - 1 in
+  let s = Array.make n 0. in
+  for i = 0 to n - 1 do
+    s.(i) <- scale *. exp (e.(i) -. ln_z)
+  done;
+  s
+
+let shares ~alpha ~valuations ~prices =
+  let e = exponents ~alpha ~valuations ~prices in
+  let ln_z = Numerics.Stats.logsumexp e in
+  (* [1. *. x] is exactly [x]. *)
+  (scaled_shares e ~ln_z ~scale:1., exp (-.ln_z))
+
+let demands_and_surplus ~alpha ~k ~valuations ~prices =
+  let e = exponents ~alpha ~valuations ~prices in
+  let ln_z = Numerics.Stats.logsumexp e in
+  (scaled_shares e ~ln_z ~scale:k, k /. alpha *. ln_z)
 
 let demands_at ~alpha ~k ~valuations ~prices =
-  let s, _ = shares ~alpha ~valuations ~prices in
-  Array.map (fun si -> k *. si) s
+  fst (demands_and_surplus ~alpha ~k ~valuations ~prices)
 
 let profit_at ~alpha ~k ~valuations ~costs ~prices =
   check_lengths valuations costs;
   let s, _ = shares ~alpha ~valuations ~prices in
-  let terms = Array.init (Array.length s) (fun i -> s.(i) *. (prices.(i) -. costs.(i))) in
-  k *. Numerics.Stats.sum terms
+  k *. Numerics.Stats.sum_init (Array.length s) (fun i -> s.(i) *. (prices.(i) -. costs.(i)))
 
 let consumer_surplus ~alpha ~k ~valuations ~prices =
-  check_alpha alpha;
-  check_lengths valuations prices;
-  let exponents = Array.map2 (fun v p -> alpha *. (v -. p)) valuations prices in
-  let ln_z = Numerics.Stats.logsumexp (Array.append exponents [| 0. |]) in
-  k /. alpha *. ln_z
+  k /. alpha *. Numerics.Stats.logsumexp (exponents ~alpha ~valuations ~prices)
 
 let bundle_aggregate ~alpha ~valuations ~costs =
   check_alpha alpha;
   check_lengths valuations costs;
-  let exponents = Array.map (fun v -> alpha *. v) valuations in
-  let ln_w = Numerics.Stats.logsumexp exponents in
-  let weights = Array.map (fun x -> exp (x -. ln_w)) exponents in
-  let c_terms = Array.map2 (fun u c -> u *. c) weights costs in
-  (ln_w /. alpha, Numerics.Stats.sum c_terms)
+  (* One buffer: exponents [alpha v_i], then in place the cost terms
+     [c_i e^(alpha v_i - ln_w)]. *)
+  let n = Array.length valuations in
+  let buf = Array.make n 0. in
+  for i = 0 to n - 1 do
+    buf.(i) <- alpha *. valuations.(i)
+  done;
+  let ln_w = Numerics.Stats.logsumexp buf in
+  for i = 0 to n - 1 do
+    buf.(i) <- exp (buf.(i) -. ln_w) *. costs.(i)
+  done;
+  (ln_w /. alpha, Numerics.Stats.sum buf)
 
 let ln_s ~alpha ~valuations ~costs =
   check_alpha alpha;
   check_lengths valuations costs;
-  Numerics.Stats.logsumexp (Array.map2 (fun v c -> alpha *. (v -. c)) valuations costs)
+  let n = Array.length valuations in
+  let e = Array.make n 0. in
+  for i = 0 to n - 1 do
+    e.(i) <- alpha *. (valuations.(i) -. costs.(i))
+  done;
+  Numerics.Stats.logsumexp e
 
 let optimal_margin ~alpha ~ln_s =
   check_alpha alpha;

@@ -50,6 +50,15 @@ val shares :
 val demands_at :
   alpha:float -> k:float -> valuations:float array -> prices:float array -> float array
 
+val demands_and_surplus :
+  alpha:float ->
+  k:float ->
+  valuations:float array ->
+  prices:float array ->
+  float array * float
+(** [(demands_at ..., consumer_surplus ...)] from one exponent pass,
+    bit-identical to calling both. *)
+
 val profit_at :
   alpha:float ->
   k:float ->

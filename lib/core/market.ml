@@ -17,10 +17,30 @@ type memo = {
   mutable pow_valuations : float array option;
   mutable linear_b : float array option;
   mutable potential_profits : float array option;
+  mutable profit_order : int array option;
+  mutable cost_order : int array option;
 }
 
 let fresh_memo () =
-  { pow_valuations = None; linear_b = None; potential_profits = None }
+  {
+    pow_valuations = None;
+    linear_b = None;
+    potential_profits = None;
+    profit_order = None;
+    cost_order = None;
+  }
+
+(* Indices [0, n) sorted by a per-flow key, decreasing. Ties break by
+   index for determinism. Monomorphic comparisons: the keys are floats
+   (Float.compare totally orders NaN exactly like the polymorphic
+   compare did, so this is behavior-preserving). *)
+let order_by_desc (key : float array) n =
+  let idx = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      match Float.compare key.(j) key.(i) with 0 -> Int.compare i j | c -> c)
+    idx;
+  idx
 
 type t = {
   flows : Flow.t array;
@@ -163,6 +183,22 @@ let potential_profits t =
       in
       t.memo.potential_profits <- Some p;
       p
+
+let profit_order t =
+  match t.memo.profit_order with
+  | Some o -> o
+  | None ->
+      let o = order_by_desc (potential_profits t) (n_flows t) in
+      t.memo.profit_order <- Some o;
+      o
+
+let cost_order t =
+  match t.memo.cost_order with
+  | Some o -> o
+  | None ->
+      let o = order_by_desc (Array.map Float.neg t.costs) (n_flows t) in
+      t.memo.cost_order <- Some o;
+      o
 
 let pp ppf t =
   Format.fprintf ppf "%s market: %d flows, alpha=%g, p0=%g, %a, gamma=%.4g"

@@ -20,9 +20,10 @@ val demand_spec_name : demand_spec -> string
 
 type memo
 (** Lazily filled per-market derived arrays ([v_i^alpha], linear slopes,
-    profit potentials). Deterministic pure functions of the fit, so the
-    lazy fill is a benign race under the domain pool; kept as plain
-    mutable options so markets stay marshallable with empty flags. *)
+    profit potentials, and the profit and cost sort orders).
+    Deterministic pure functions of the fit, so the lazy fill is a
+    benign race under the domain pool; kept as plain mutable options so
+    markets stay marshallable with empty flags. *)
 
 type t = private {
   flows : Flow.t array;
@@ -83,5 +84,19 @@ val potential_profits : t -> float array
 (** Per-flow profit potential: Eq. 12 for CED; for logit, Eq. 13's
     observation that potential profit is proportional to demand. Used by
     profit-weighted bundling. *)
+
+val order_by_desc : float array -> int -> int array
+(** [order_by_desc key n]: indices [0, n) sorted by [key] decreasing
+    ({!Float.compare}), ties by index. *)
+
+val profit_order : t -> int array
+(** [order_by_desc (potential_profits t) (n_flows t)], memoized on first
+    use (do not mutate): the traversal order of profit-weighted
+    bundling, which does not depend on the bundle count. *)
+
+val cost_order : t -> int array
+(** Flow indices in ascending-cost order, ties by index (the order the
+    segment DP and index division run over), memoized on first use (do
+    not mutate). *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,24 +14,26 @@ let welfare o = o.profit +. o.consumer_surplus
 let flow_prices_of_bundle_prices market bundles prices =
   let n = Market.n_flows market in
   let owner = Bundle.member_of bundles ~n_flows:n in
-  Array.init n (fun i -> prices.(owner.(i)))
+  let flow_prices = Array.make n 0. in
+  for i = 0 to n - 1 do
+    flow_prices.(i) <- prices.(owner.(i))
+  done;
+  flow_prices
 
 (* Assemble an outcome from per-flow prices under either demand model.
-   The aggregate statistics run through [Stats.sum_init] — one pass per
-   statistic, no [Array.init] temporaries, and each Kahan accumulator
-   sees the same addend sequence as the materialized version, so the
-   totals are bit-identical (the goldens pin this). *)
+   The aggregate statistics run through [Stats.sum_products] /
+   [Stats.sum_init] — one pass per statistic, no temporaries, and each
+   Kahan accumulator sees the same addend sequence as the materialized
+   version, so the totals are bit-identical (the goldens pin this). The
+   per-flow arrays are filled by loops: without flambda, [Array.init]
+   with a float closure boxes every element. *)
 let outcome_at market bundles bundle_prices =
   let { Market.alpha; valuations; costs; k; spec; _ } = market in
   let flow_prices = flow_prices_of_bundle_prices market bundles bundle_prices in
   let n = Market.n_flows market in
   let assemble ~flow_demands ~consumer_surplus =
-    let revenue =
-      Numerics.Stats.sum_init n (fun i -> flow_prices.(i) *. flow_demands.(i))
-    in
-    let delivery_cost =
-      Numerics.Stats.sum_init n (fun i -> costs.(i) *. flow_demands.(i))
-    in
+    let revenue = Numerics.Stats.sum_products flow_prices flow_demands in
+    let delivery_cost = Numerics.Stats.sum_products costs flow_demands in
     {
       bundles;
       bundle_prices;
@@ -45,27 +47,32 @@ let outcome_at market bundles bundle_prices =
   in
   match spec with
   | Market.Ced ->
-      let flow_demands =
-        Array.init n (fun i -> Ced.demand ~alpha ~v:valuations.(i) flow_prices.(i))
-      in
+      let flow_demands = Array.make n 0. in
+      for i = 0 to n - 1 do
+        flow_demands.(i) <- Ced.demand ~alpha ~v:valuations.(i) flow_prices.(i)
+      done;
+      (* [Ced.consumer_surplus] at the demand just computed: one power
+         per flow fewer, same bits. *)
       assemble ~flow_demands
         ~consumer_surplus:
           (Numerics.Stats.sum_init n (fun i ->
-               Ced.consumer_surplus ~alpha ~v:valuations.(i) flow_prices.(i)))
+               Ced.surplus_of_demand ~alpha ~v:valuations.(i) ~q:flow_demands.(i)
+                 flow_prices.(i)))
   | Market.Linear _ ->
       let b = Market.linear_b market in
-      let flow_demands =
-        Array.init n (fun i -> Lin.demand ~a:valuations.(i) ~b:b.(i) flow_prices.(i))
-      in
+      let flow_demands = Array.make n 0. in
+      for i = 0 to n - 1 do
+        flow_demands.(i) <- Lin.demand ~a:valuations.(i) ~b:b.(i) flow_prices.(i)
+      done;
       assemble ~flow_demands
         ~consumer_surplus:
           (Numerics.Stats.sum_init n (fun i ->
                Lin.consumer_surplus ~a:valuations.(i) ~b:b.(i) flow_prices.(i)))
   | Market.Logit _ ->
-      let flow_demands = Logit.demands_at ~alpha ~k ~valuations ~prices:flow_prices in
-      assemble ~flow_demands
-        ~consumer_surplus:
-          (Logit.consumer_surplus ~alpha ~k ~valuations ~prices:flow_prices)
+      let flow_demands, consumer_surplus =
+        Logit.demands_and_surplus ~alpha ~k ~valuations ~prices:flow_prices
+      in
+      assemble ~flow_demands ~consumer_surplus
 
 let optimal_bundle_prices market bundles =
   let { Market.alpha; valuations; costs; spec; _ } = market in
@@ -86,9 +93,7 @@ let optimal_bundle_prices market bundles =
           let bs = member_bs.(g) and cs = member_cs.(g) in
           let a_sum = Numerics.Stats.sum member_vs.(g) in
           let b_sum = Numerics.Stats.sum bs in
-          let bc_sum =
-            Numerics.Stats.sum_init (Array.length bs) (fun i -> bs.(i) *. cs.(i))
-          in
+          let bc_sum = Numerics.Stats.sum_products bs cs in
           Lin.bundle_price ~a_sum ~b_sum ~bc_sum)
   | Market.Logit _ ->
       let member_vs = Bundle.gather bundles valuations in

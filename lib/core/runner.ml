@@ -23,7 +23,8 @@ let run_experiments ?backend ?retries ?timeout_s ?jobs ?workers ?metrics
          (Array.map (fun cells -> Array.map (fun c -> c) cells) plans))
   in
   let t0 = Unix.gettimeofday () in
-  let outputs, n_jobs, domain_busy, used_backend, worker_restarts =
+  let (outputs, n_jobs, domain_busy, used_backend, worker_restarts), gc =
+    Engine.Metrics.gc_delta @@ fun () ->
     Engine.Pool.with_pool ?backend ?retries ?timeout_s ?jobs ?workers
       (fun pool ->
         let outputs =
@@ -72,6 +73,7 @@ let run_experiments ?backend ?retries ?timeout_s ?jobs ?workers ?metrics
       Engine.Metrics.set_worker_restarts m worker_restarts;
       Engine.Metrics.set_wall m wall_s;
       Engine.Metrics.set_domain_busy m domain_busy;
+      Engine.Metrics.set_gc m gc;
       (* Record per-cell wall times serially, in submission order, so
          metrics snapshots are as deterministic as the reports
          themselves. *)
@@ -155,4 +157,18 @@ let metrics_reports (s : Engine.Metrics.snapshot) =
               ];
         ]
   in
-  tasks :: caches :: disk
+  let gc =
+    match Engine.Metrics.gc_rows s with
+    | [] -> []
+    | rows ->
+        [
+          Report.make ~title:"GC (this process, whole run)"
+            ~header:[ "quantity"; "value" ] rows
+            ~notes:
+              [
+                "Gc.quick_stat deltas around the pool run; the workers of \
+                 --backend procs/remote allocate in their own processes";
+              ];
+        ]
+  in
+  (tasks :: caches :: disk) @ gc

@@ -1,18 +1,24 @@
-let capture_at market strategy ~n_bundles =
-  let ctx = Capture.context market in
+let capture_in ctx market strategy ~n_bundles =
   let bundles = Strategy.apply strategy market ~n_bundles in
   Capture.value ctx (Pricing.evaluate market bundles).Pricing.profit
+
+let capture_at market strategy ~n_bundles =
+  capture_in (Capture.context market) market strategy ~n_bundles
 
 let envelope ~markets ~strategy ~bundle_counts ~mode =
   if markets = [] then invalid_arg "Sensitivity.envelope: no markets";
   let pick = match mode with `Min -> Float.min | `Max -> Float.max in
   let start = match mode with `Min -> infinity | `Max -> neg_infinity in
+  (* The capture context does not depend on the bundle count: one per
+     market, not one per (market, bundle count). *)
+  let contexts = List.map (fun market -> (market, Capture.context market)) markets in
   List.map
     (fun n_bundles ->
       let worst =
         List.fold_left
-          (fun acc market -> pick acc (capture_at market strategy ~n_bundles))
-          start markets
+          (fun acc (market, ctx) ->
+            pick acc (capture_in ctx market strategy ~n_bundles))
+          start contexts
       in
       (n_bundles, worst))
     bundle_counts

@@ -27,24 +27,14 @@ let of_name s =
   | Some t -> t
   | None -> invalid_arg ("Strategy.of_name: unknown strategy " ^ s)
 
-(* Indices [0, n) sorted by a per-flow key, decreasing. Ties break by
-   index for determinism. Monomorphic comparisons: the keys are floats
-   (Float.compare totally orders NaN exactly like the polymorphic
-   compare did, so this is behavior-preserving). *)
-let order_by_desc (key : float array) n =
-  let idx = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      match Float.compare key.(j) key.(i) with 0 -> Int.compare i j | c -> c)
-    idx;
-  idx
-
 let token_bucket ~weights ~order ~n_bundles =
   let n = Array.length order in
   if n_bundles < 1 then invalid_arg "Strategy.token_bucket: n_bundles < 1";
   if Array.length weights <> n then
     invalid_arg "Strategy.token_bucket: weights/order length mismatch";
-  let total = Numerics.Stats.sum (Array.map (fun i -> weights.(i)) order) in
+  let ordered = Array.make n 0. in
+  Array.iteri (fun k i -> ordered.(k) <- weights.(i)) order;
+  let total = Numerics.Stats.sum ordered in
   let budget = total /. float_of_int n_bundles in
   let budgets = Array.make n_bundles budget in
   let members = Array.make n_bundles [] in
@@ -85,9 +75,9 @@ let cost_division costs ~n_bundles =
   in
   Bundle.of_assignment ~n_bundles assignment
 
-let index_division costs ~n_bundles =
-  let n = Array.length costs in
-  let by_cost = order_by_desc (Array.map (fun c -> -.c) costs) n in
+let index_division market ~n_bundles =
+  let n = Market.n_flows market in
+  let by_cost = Market.cost_order market in
   let b = min n_bundles n in
   let cuts = List.init (b - 1) (fun j -> (j + 1) * n / b) in
   let cuts = List.sort_uniq Int.compare (List.filter (fun c -> c > 0 && c < n) cuts) in
@@ -118,7 +108,7 @@ let profit_weighted_classes market ~n_bundles =
   if class_count = 1 || n_bundles < class_count then
     (* One class, or not enough bundles to keep classes apart: plain
        profit weighting within the budget. *)
-    token_bucket ~weights:profits ~order:(order_by_desc profits n) ~n_bundles
+    token_bucket ~weights:profits ~order:(Market.profit_order market) ~n_bundles
   else if n_bundles = class_count then begin
     (* Exactly one bundle per class. *)
     let rank c =
@@ -171,7 +161,7 @@ let profit_weighted_classes market ~n_bundles =
           in
           let idx = Array.of_list indices in
           let w = Array.map (fun i -> profits.(i)) idx in
-          let local_order = order_by_desc w (Array.length idx) in
+          let local_order = Market.order_by_desc w (Array.length idx) in
           let sub =
             token_bucket ~weights:w ~order:local_order
               ~n_bundles:(min bundles_for_class (Array.length idx))
@@ -202,7 +192,7 @@ let profit_weighted_classes market ~n_bundles =
 let dp_inputs market =
   let { Market.alpha; valuations; costs; spec; _ } = market in
   let n = Market.n_flows market in
-  let order = order_by_desc (Array.map (fun c -> -.c) costs) n in
+  let order = Market.cost_order market in
   let fget = Float.Array.unsafe_get in
   let fset = Float.Array.unsafe_set in
   match spec with
@@ -345,16 +335,16 @@ let rec apply strategy market ~n_bundles =
   match strategy with
   | Demand_weighted ->
       let demands = Flow.demands market.Market.flows in
-      token_bucket ~weights:demands ~order:(order_by_desc demands n) ~n_bundles
+      token_bucket ~weights:demands ~order:(Market.order_by_desc demands n) ~n_bundles
   | Cost_weighted ->
       let inv = Array.map (fun c -> 1. /. c) costs in
-      token_bucket ~weights:inv ~order:(order_by_desc inv n) ~n_bundles
+      token_bucket ~weights:inv ~order:(Market.order_by_desc inv n) ~n_bundles
   | Profit_weighted ->
-      let profits = Market.potential_profits market in
-      token_bucket ~weights:profits ~order:(order_by_desc profits n) ~n_bundles
+      token_bucket ~weights:(Market.potential_profits market)
+        ~order:(Market.profit_order market) ~n_bundles
   | Profit_weighted_classes -> profit_weighted_classes market ~n_bundles
   | Cost_division -> cost_division costs ~n_bundles
-  | Index_division -> index_division costs ~n_bundles
+  | Index_division -> index_division market ~n_bundles
   | Optimal -> (
       let dp = optimal_dp market ~n_bundles in
       match market.Market.spec with

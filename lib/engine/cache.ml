@@ -442,13 +442,17 @@ let find_or_add t ~key compute =
       Mutex.unlock t.mutex;
       match outcome with
       | Ok (v, `Fresh) ->
-          (match payload_of t v with
-          | None -> ()
-          | Some payload ->
-              ignore
-                (disk_write_payload ~cache:t.name digest payload
-                  : string option);
-              remote_publish t digest payload);
+          (* Marshal only when some tier will take the bytes: with the
+             disk tier off and no remote hook the payload would be
+             built and dropped. *)
+          if Option.is_some (disk_dir ()) || Option.is_some (remote_tier ()) then (
+            match payload_of t v with
+            | None -> ()
+            | Some payload ->
+                ignore
+                  (disk_write_payload ~cache:t.name digest payload
+                    : string option);
+                remote_publish t digest payload);
           v
       | Ok (v, (`Disk | `Remote)) -> v
       | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)

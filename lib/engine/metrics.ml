@@ -1,5 +1,12 @@
 type task = { label : string; wall_s : float }
 
+type gc = {
+  minor_words : float;
+  promoted_words : float;
+  minor_collections : int;
+  major_collections : int;
+}
+
 type snapshot = {
   tasks : task list;
   jobs : int;
@@ -12,6 +19,7 @@ type snapshot = {
   load_balance : float;
   caches : (string * Cache.stats) list;
   disk : Cache.disk_stats option;
+  gc : gc option;
 }
 
 type t = {
@@ -22,6 +30,7 @@ type t = {
   mutable worker_restarts : int;
   mutable wall_s : float;
   mutable domain_busy : float array;
+  mutable gc : gc option;
 }
 
 let create () =
@@ -33,6 +42,7 @@ let create () =
     worker_restarts = 0;
     wall_s = 0.;
     domain_busy = [||];
+    gc = None;
   }
 
 let with_lock m f =
@@ -53,20 +63,35 @@ let set_wall t wall_s = with_lock t.mutex (fun () -> t.wall_s <- wall_s)
 let set_domain_busy t busy =
   with_lock t.mutex (fun () -> t.domain_busy <- Array.copy busy)
 
+let set_gc t gc = with_lock t.mutex (fun () -> t.gc <- Some gc)
+
+let gc_delta f =
+  let a = Gc.quick_stat () in
+  let r = f () in
+  let b = Gc.quick_stat () in
+  ( r,
+    {
+      minor_words = b.Gc.minor_words -. a.Gc.minor_words;
+      promoted_words = b.Gc.promoted_words -. a.Gc.promoted_words;
+      minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;
+      major_collections = b.Gc.major_collections - a.Gc.major_collections;
+    } )
+
 let time t ~label f =
   let t0 = Unix.gettimeofday () in
   let finally () = record t ~label ~wall_s:(Unix.gettimeofday () -. t0) in
   Fun.protect ~finally f
 
 let snapshot t =
-  let tasks, jobs, backend, worker_restarts, wall_s, domain_busy_s =
+  let tasks, jobs, backend, worker_restarts, wall_s, domain_busy_s, gc =
     with_lock t.mutex (fun () ->
         ( List.rev t.rev_tasks,
           t.jobs,
           t.backend,
           t.worker_restarts,
           t.wall_s,
-          Array.copy t.domain_busy ))
+          Array.copy t.domain_busy,
+          t.gc ))
   in
   let busy_s =
     List.fold_left (fun acc (k : task) -> acc +. k.wall_s) 0. tasks
@@ -96,6 +121,7 @@ let snapshot t =
     load_balance;
     caches = Cache.all_stats ();
     disk = Cache.disk_stats ();
+    gc;
   }
 
 (* --- rendering ----------------------------------------------------------- *)
@@ -111,6 +137,17 @@ let task_rows s =
          else "-");
       ])
     s.tasks
+
+let gc_rows (s : snapshot) =
+  match s.gc with
+  | None -> []
+  | Some g ->
+      [
+        [ "minor words"; Printf.sprintf "%.0f" g.minor_words ];
+        [ "promoted words"; Printf.sprintf "%.0f" g.promoted_words ];
+        [ "minor collections"; string_of_int g.minor_collections ];
+        [ "major collections"; string_of_int g.major_collections ];
+      ]
 
 let cache_rows s =
   List.map
@@ -186,6 +223,15 @@ let to_json (s : snapshot) =
            | Some b -> string_of_int b
            | None -> "null")
            d.Cache.evictions));
+  (match s.gc with
+  | None -> Buffer.add_string buf "  \"gc\": null,\n"
+  | Some g ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  \"gc\": {\"minor_words\": %.0f, \"promoted_words\": %.0f, \
+            \"minor_collections\": %d, \"major_collections\": %d},\n"
+           g.minor_words g.promoted_words g.minor_collections
+           g.major_collections));
   Buffer.add_string buf "  \"tasks\": [";
   List.iteri
     (fun i k ->

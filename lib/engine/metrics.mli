@@ -9,6 +9,19 @@
 
 type task = { label : string; wall_s : float }
 
+type gc = {
+  minor_words : float;  (** words allocated in the minor heap *)
+  promoted_words : float;  (** minor-heap words promoted to the major heap *)
+  minor_collections : int;
+  major_collections : int;
+}
+(** A {!Gc.quick_stat} delta over a run. It covers this process: the
+    calling domain and the pool domains that ran and joined inside the
+    measured section, but not fleet or procs worker processes. The
+    runtime books a domain's minor words when it empties its minor
+    heap, so a run that allocates less than one minor heap can read
+    [0]. *)
+
 type snapshot = {
   tasks : task list;  (** submission order; one entry per grid cell *)
   jobs : int;
@@ -31,6 +44,7 @@ type snapshot = {
   disk : Cache.disk_stats option;
       (** disk-tier size accounting and eviction counters; [None] when
           the disk tier is disabled *)
+  gc : gc option;  (** GC delta of the run; [None] when not recorded *)
 }
 
 type t
@@ -53,6 +67,12 @@ val set_domain_busy : t -> float array -> unit
 (** Record the per-domain busy times of the pool that ran the grid
     (usually {!Pool.busy_times} captured just before shutdown). *)
 
+val set_gc : t -> gc -> unit
+
+val gc_delta : (unit -> 'a) -> 'a * gc
+(** Run the thunk and return its {!gc} delta alongside its result.
+    Observation only: nothing read here may feed back into outputs. *)
+
 val time : t -> label:string -> (unit -> 'a) -> 'a
 (** Run the thunk, record its wall time under [label]. *)
 
@@ -60,6 +80,10 @@ val snapshot : t -> snapshot
 
 val task_rows : snapshot -> string list list
 (** One row per task: label, wall seconds, share of busy time. *)
+
+val gc_rows : snapshot -> string list list
+(** One row per GC counter (quantity, value); empty when no GC delta
+    was recorded. *)
 
 val cache_rows : snapshot -> string list list
 (** One row per cache: name, hits, disk hits, remote hits, misses,

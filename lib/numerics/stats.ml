@@ -1,15 +1,15 @@
 let sum xs =
   (* Kahan compensation: dispersion statistics feed model fitting, so we
      keep the sums exact to the last few ulps even for millions of
-     records. *)
+     records. A plain loop rather than [Array.iter]: without flambda the
+     closure would box every element and both accumulators. *)
   let total = ref 0. and comp = ref 0. in
-  Array.iter
-    (fun x ->
-      let y = x -. !comp in
-      let t = !total +. y in
-      comp := t -. !total -. y;
-      total := t)
-    xs;
+  for i = 0 to Array.length xs - 1 do
+    let y = xs.(i) -. !comp in
+    let t = !total +. y in
+    comp := t -. !total -. y;
+    total := t
+  done;
   !total
 
 let sum_init n f =
@@ -19,6 +19,18 @@ let sum_init n f =
   for i = 0 to n - 1 do
     let x = f i in
     let y = x -. !comp in
+    let t = !total +. y in
+    comp := t -. !total -. y;
+    total := t
+  done;
+  !total
+
+let sum_products xs ys =
+  if Array.length xs <> Array.length ys then
+    invalid_arg "Stats.sum_products: length mismatch";
+  let total = ref 0. and comp = ref 0. in
+  for i = 0 to Array.length xs - 1 do
+    let y = (xs.(i) *. ys.(i)) -. !comp in
     let t = !total +. y in
     comp := t -. !total -. y;
     total := t
@@ -55,13 +67,28 @@ let weighted_mean ~values ~weights =
   let weighted = Array.map2 ( *. ) values weights in
   sum weighted /. total_weight
 
+(* [Stdlib.min]/[max] folds, written as typed loops: [Stdlib.min a b]
+   is [if a <= b then a else b] under polymorphic compare, which orders
+   floats exactly like the typed [<=]/[>=] here (NaN compares false,
+   [-0. = 0.]), so every result is bit-identical — without the C call
+   and the boxing per element. *)
 let min xs =
   require_nonempty "Stats.min" xs;
-  Array.fold_left Stdlib.min xs.(0) xs
+  let m = ref xs.(0) in
+  for i = 1 to Array.length xs - 1 do
+    let x = xs.(i) in
+    if not (!m <= x) then m := x
+  done;
+  !m
 
 let max xs =
   require_nonempty "Stats.max" xs;
-  Array.fold_left Stdlib.max xs.(0) xs
+  let m = ref xs.(0) in
+  for i = 1 to Array.length xs - 1 do
+    let x = xs.(i) in
+    if not (!m >= x) then m := x
+  done;
+  !m
 
 let quantile xs q =
   require_nonempty "Stats.quantile" xs;
@@ -135,9 +162,17 @@ let logsumexp xs =
   else
     let m = max xs in
     if m = Float.neg_infinity then Float.neg_infinity
-    else
-      let shifted = Array.map (fun x -> exp (x -. m)) xs in
-      m +. log (sum shifted)
+    else begin
+      (* [sum] of the shifted terms, fused: same addends, same order. *)
+      let total = ref 0. and comp = ref 0. in
+      for i = 0 to Array.length xs - 1 do
+        let y = exp (xs.(i) -. m) -. !comp in
+        let t = !total +. y in
+        comp := t -. !total -. y;
+        total := t
+      done;
+      m +. log !total
+    end
 
 let pearson xs ys =
   let n = Array.length xs in

@@ -15,6 +15,11 @@ val sum_init : int -> (int -> float) -> float
     [0.] when [n <= 0]. The hot evaluation loops use it to fuse
     generate-then-sum passes. *)
 
+val sum_products : float array -> float array -> float
+(** [sum_products xs ys] is [sum_init n (fun i -> xs.(i) *. ys.(i))]
+    (bit-identical) as a loop that allocates nothing. Requires equal
+    lengths. *)
+
 val mean : float array -> float
 
 val variance : float array -> float

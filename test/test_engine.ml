@@ -112,6 +112,142 @@ let scan_payload_bytes dir =
       else acc)
     0 (Sys.readdir dir)
 
+(* With the disk tier off and no remote hook, a fresh miss builds no
+   payload at all (the marshal would be thrown away) and writes
+   nothing; once the disk tier is on, the next fresh miss still lands
+   in the CAS. *)
+let test_cache_tiers_off_skip_marshal () =
+  let dir = temp_cache_dir () in
+  Engine.Cache.disable_disk ();
+  let cache = Engine.Cache.create ~name:"test-tiers-off" ~schema:"v1" () in
+  let big = Array.make 100_000 1.5 in
+  let before = Gc.allocated_bytes () in
+  let got = Engine.Cache.find_or_add cache ~key:"off" (fun () -> big) in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "artifact returned" true (got == big);
+  (* Marshalling the 800 kB artifact would allocate at least as much. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "no payload built (%.0f bytes allocated)" allocated)
+    true (allocated < 100_000.);
+  Engine.Cache.enable_disk ~dir ();
+  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  Alcotest.(check int) "nothing written" 0 (scan_payload_bytes dir);
+  Alcotest.(check bool) "no reference for the tiers-off miss" true
+    (Option.is_none
+       (Engine.Cache.raw_payload ~cache:"test-tiers-off"
+          ~key_digest:(Engine.Cache.key_digest "off")));
+  let v = Engine.Cache.find_or_add cache ~key:"on" (fun () -> [| 2.5 |]) in
+  match Engine.Cache.disk_get cache ~key:"on" with
+  | Some (stored, _) -> Alcotest.(check (array (float 0.))) "fresh miss in the CAS" v stored
+  | None -> Alcotest.fail "fresh miss after enable_disk did not reach the CAS"
+
+(* The market/2 payload layout: [Market.t] before its memo grew the
+   profit and cost sort orders. *)
+type market2_memo = {
+  m2_pow_valuations : float array option;
+  m2_linear_b : float array option;
+  m2_potential_profits : float array option;
+}
+
+type market2 = {
+  m2_flows : Flow.t array;
+  m2_spec : Market.demand_spec;
+  m2_alpha : float;
+  m2_p0 : float;
+  m2_cost_model : Cost_model.t;
+  m2_valuations : float array;
+  m2_costs : float array;
+  m2_gamma : float;
+  m2_k : float;
+  m2_memo : market2_memo;
+}
+
+(* A CAS payload stamped with the previous market schema must read as a
+   miss and be recomputed — never unmarshalled into today's record
+   shape. The stale payload is planted under exactly the key
+   [Experiment.market] looks up. *)
+let test_stale_market_schema_recomputed () =
+  let dir = temp_cache_dir () in
+  Engine.Cache.enable_disk ~dir ();
+  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
+  let network = "internet2" and alpha = 1.37 and spec = Market.Ced in
+  let p0 = Experiment.Defaults.p0 in
+  let cost_model = Cost_model.linear ~theta:Experiment.Defaults.theta in
+  let key_digest =
+    Engine.Cache.key_digest ("market", network, alpha, p0, cost_model, spec)
+  in
+  let fresh = Market.fit ~spec ~alpha ~p0 ~cost_model (Experiment.dataset network) in
+  let stale =
+    {
+      m2_flows = fresh.Market.flows;
+      m2_spec = spec;
+      m2_alpha = alpha;
+      m2_p0 = p0;
+      m2_cost_model = cost_model;
+      m2_valuations = fresh.Market.valuations;
+      m2_costs = fresh.Market.costs;
+      m2_gamma = fresh.Market.gamma;
+      m2_k = fresh.Market.k;
+      m2_memo =
+        {
+          m2_pow_valuations = Some [| 1. |];
+          m2_linear_b = None;
+          m2_potential_profits = Some [| 2. |];
+        };
+    }
+  in
+  let stale_payload = Marshal.to_string ("market/2", stale) [] in
+  Engine.Cache.store_raw_payload ~cache:"market" ~key_digest ~payload:stale_payload;
+  Alcotest.(check (option string)) "stale payload planted" (Some stale_payload)
+    (Engine.Cache.raw_payload ~cache:"market" ~key_digest);
+  let counts () = List.assoc "market" (Engine.Cache.all_stats ()) in
+  let before = counts () in
+  let m = Experiment.market ~alpha ~spec network in
+  let after = counts () in
+  Alcotest.(check int) "stale payload is a miss" (before.Engine.Cache.misses + 1)
+    after.Engine.Cache.misses;
+  Alcotest.(check int) "not a disk hit" before.Engine.Cache.disk_hits
+    after.Engine.Cache.disk_hits;
+  Alcotest.(check (array (float 0.))) "recomputed fit" fresh.Market.valuations
+    m.Market.valuations;
+  Alcotest.(check (array int)) "memo of today's shape"
+    (Market.profit_order fresh) (Market.profit_order m);
+  match Engine.Cache.raw_payload ~cache:"market" ~key_digest with
+  | Some payload ->
+      let stamp, _ = (Marshal.from_string payload 0 : string * Market.t) in
+      Alcotest.(check string) "key now points at a fresh payload" "market/3" stamp
+  | None -> Alcotest.fail "recomputed market not written back"
+
+(* A run with metrics records its GC delta (shown by --metrics and
+   --metrics-json), and recording it changes nothing in the output. *)
+let test_metrics_gc_delta () =
+  let grid = [ Experiment.find "fig14" ] in
+  let metrics = Engine.Metrics.create () in
+  let observed = Runner.run_experiments ~jobs:1 ~metrics grid in
+  let plain = Runner.run_experiments ~jobs:1 grid in
+  Alcotest.(check string) "metrics never feed back into output"
+    (Runner.render plain) (Runner.render observed);
+  let snap = Engine.Metrics.snapshot metrics in
+  (match snap.Engine.Metrics.gc with
+  | None -> Alcotest.fail "no GC delta recorded"
+  | Some g ->
+      Alcotest.(check bool) "minor words counted" true
+        (g.Engine.Metrics.minor_words > 0.);
+      Alcotest.(check bool) "minor collections counted" true
+        (g.Engine.Metrics.minor_collections > 0));
+  Alcotest.(check int) "four GC rows" 4 (List.length (Engine.Metrics.gc_rows snap));
+  let json = Engine.Metrics.to_json snap in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length json && (String.equal (String.sub json i n) sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "gc object in the JSON" true (contains "\"gc\": {\"minor_words\": ");
+  Alcotest.(check bool) "no GC delta without a run" true
+    (Option.is_none (Engine.Metrics.snapshot (Engine.Metrics.create ())).Engine.Metrics.gc)
+
 (* (e) A bounded disk tier never holds more than max_bytes of payload,
    whatever the (randomized) insert sizes; evicted artifacts recompute
    instead of erroring. *)
@@ -567,6 +703,12 @@ let suite =
       test_cache_truncated_payload_is_miss;
     Alcotest.test_case "runner: 100 micro-cells merge identically" `Quick
       test_runner_micro_cells;
+    Alcotest.test_case "cache: tiers off, a miss marshals and writes nothing"
+      `Quick test_cache_tiers_off_skip_marshal;
+    Alcotest.test_case "cache: a market/2 payload is recomputed" `Quick
+      test_stale_market_schema_recomputed;
+    Alcotest.test_case "metrics: per-run GC delta, no feedback" `Quick
+      test_metrics_gc_delta;
     Alcotest.test_case "pool survives raising tasks" `Quick
       test_pool_survives_exception;
     Alcotest.test_case "cache eviction skips unremovable payloads" `Quick

@@ -68,6 +68,7 @@ let () =
       ("tiered.tier_count", Test_tier_count.suite);
       ("tiered.estimate", Test_estimate.suite);
       ("cross-module properties", Test_properties.suite);
+      ("fast-path references", Test_fast_paths.suite);
       ("edge cases", Test_edge_cases.suite);
       ("integration", Test_integration.suite);
       ("serve", Test_serve.suite);
