@@ -56,13 +56,16 @@ bench-serve:
 bench-serve-smoke:
 	dune exec bench/main.exe -- serve --serve-flows=300 --serve-days=2
 
-# One short run of the repository benchmark's grid workload
-# (perfbench/README.md): it builds perfbench/main.exe, renders the paper
-# grid on all four legs (serial, 2-domain pool, exec:2 fleet, warm disk
-# CAS), checks every render against the goldens and the serial
-# reference, and exits non-zero if any output is wrong.
+# One short run of two repository benchmark workloads
+# (perfbench/README.md). `grid` builds perfbench/main.exe, renders the
+# paper grid on all four legs (serial, 2-domain pool, exec:2 fleet,
+# warm disk CAS) and checks every render against the goldens and the
+# serial reference. `serve_ingest` replays a 7-day wire file through
+# `Daemon.run` and checks every posted window against a from-scratch
+# solve. Each exits non-zero if any output is wrong.
 perfbench-smoke:
 	python3 perfbench/run.py --workload grid --seed 1 --seconds 1 --trace 0
+	python3 perfbench/run.py --workload serve_ingest --seed 1 --seconds 1 --trace 0
 
 # Rewrite test/golden/*.expected from the current code. The second
 # pass re-checks the diffs so a failed promote cannot pass silently.

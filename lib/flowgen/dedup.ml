@@ -39,14 +39,37 @@ module Stream = struct
     s_proto : int;
   }
 
+  (* A typed hash and field-wise equality: no [caml_hash] or
+     [compare_val] call per lookup on the hot path. Each endpoint packs
+     with its port into 48 bits. The table is never traversed (retire
+     order comes from [arrivals]), so the hash reaches no output. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = flow_key
+
+    let equal a b =
+      Int.equal (Ipv4.to_int a.s_src) (Ipv4.to_int b.s_src)
+      && Int.equal (Ipv4.to_int a.s_dst) (Ipv4.to_int b.s_dst)
+      && Int.equal a.s_src_port b.s_src_port
+      && Int.equal a.s_dst_port b.s_dst_port
+      && Int.equal a.s_proto b.s_proto
+
+    let hash k =
+      let s = (Ipv4.to_int k.s_src lsl 16) lor k.s_src_port in
+      let d = (Ipv4.to_int k.s_dst lsl 16) lor k.s_dst_port in
+      Tbl.hash_ints s d lxor k.s_proto
+  end)
+
+  (* [fs] is the last [first_s] kept for the key, updated in place. *)
+  type entry = { mutable fs : int }
+
   type t = {
-    last : (flow_key, int) Hashtbl.t;  (* 5-tuple -> last first_s kept *)
+    last : entry Tbl.t;
     arrivals : (flow_key * int) Queue.t;  (* fresh keeps, in order *)
     mutable dropped : int;
   }
 
   let create ?(expected = 4096) () =
-    { last = Hashtbl.create expected; arrivals = Queue.create (); dropped = 0 }
+    { last = Tbl.create expected; arrivals = Queue.create (); dropped = 0 }
 
   let flow_key (r : Netflow.record) =
     {
@@ -59,17 +82,21 @@ module Stream = struct
 
   let observe t (r : Netflow.record) =
     let key = flow_key r in
-    match Hashtbl.find_opt t.last key with
-    | Some fs when fs = r.first_s ->
+    match Tbl.find t.last key with
+    | e when Int.equal e.fs r.first_s ->
         t.dropped <- t.dropped + 1;
         false
-    | Some _ | None ->
-        Hashtbl.replace t.last key r.first_s;
+    | e ->
+        e.fs <- r.first_s;
+        Queue.add (key, r.first_s) t.arrivals;
+        true
+    | exception Not_found ->
+        Tbl.add t.last key { fs = r.first_s };
         Queue.add (key, r.first_s) t.arrivals;
         true
 
   let dropped t = t.dropped
-  let distinct t = Hashtbl.length t.last
+  let distinct t = Tbl.length t.last
 
   let forget_before t ~first_s =
     (* Retire 5-tuples that have gone idle so the table does not grow
@@ -85,9 +112,9 @@ module Stream = struct
     in
     while stale () do
       let key, _ = Queue.pop t.arrivals in
-      match Hashtbl.find_opt t.last key with
-      | Some fs when fs < first_s -> Hashtbl.remove t.last key
-      | Some _ | None -> ()
+      match Tbl.find t.last key with
+      | e when e.fs < first_s -> Tbl.remove t.last key
+      | _ | (exception Not_found) -> ()
     done
 end
 

@@ -313,12 +313,35 @@ module Wire = struct
      packet (<= 65_535 bytes) and decoding is driven by [read], so a
      stalled consumer exerts backpressure on the channel instead of
      accumulating records: bounded buffering by construction. *)
+
+  (* Most records one packet can carry: a single IPFIX data set filling
+     a maximal message (v5 caps at 30). *)
+  let max_batch = (max_packet_len - ipfix_header_len - 4) / ipfix_record_len
+
+  (* The decoded records of the last packet, reused across packets:
+     decoding writes immediates into two strided arrays, so it
+     allocates nothing and keeps no boxed record alive until the
+     consumer pulls it; [read] builds each record as it is pulled.
+     [pos] is the cursor into [0, len). The arrays start at v5 size and
+     grow, at most to [max_batch] records, for larger IPFIX
+     messages. *)
+  let int_stride = 7 (* src, dst, src_port, dst_port, proto, first_s, last_s *)
+  let float_stride = 2 (* bytes, packets *)
+
+  type batch = {
+    mutable ints : int array;
+    mutable floats : Float.Array.t;
+    mutable router : int;
+    mutable len : int;
+    mutable pos : int;
+  }
+
   type reader = {
     refill : Bytes.t -> int -> int -> int;
     buf : Bytes.t;
     counters : counters;
     seqs : (int, int) Hashtbl.t;  (** (router, family) -> next expected *)
-    mutable queue : record list;  (** decoded records of the last packet *)
+    batch : batch;
     mutable eof : bool;
   }
 
@@ -328,7 +351,14 @@ module Wire = struct
       buf = Bytes.create max_packet_len;
       counters = fresh_counters ();
       seqs = Hashtbl.create 16;
-      queue = [];
+      batch =
+        {
+          ints = Array.make (v5_max_records * int_stride) 0;
+          floats = Float.Array.make (v5_max_records * float_stride) 0.;
+          router = 0;
+          len = 0;
+          pos = 0;
+        };
       eof = false;
     }
 
@@ -367,28 +397,39 @@ module Wire = struct
     | None -> ());
     Hashtbl.replace r.seqs key (seq + units)
 
+  (* Start a packet's batch, with room for [records]; the previous
+     packet is fully consumed, so growing may drop its contents. *)
+  let reset_batch r ~router ~records =
+    let bt = r.batch in
+    let cap = Array.length bt.ints / int_stride in
+    if records > cap then begin
+      let cap = Stdlib.min max_batch (Stdlib.max records (2 * cap)) in
+      bt.ints <- Array.make (cap * int_stride) 0;
+      bt.floats <- Float.Array.make (cap * float_stride) 0.
+    end;
+    bt.router <- router;
+    bt.len <- 0;
+    bt.pos <- 0
+
   let push_record r ~src ~dst ~src_port ~dst_port ~proto ~bytes ~packets
-      ~first_ms ~last_ms ~router acc =
+      ~first_ms ~last_ms =
     let first_s = fdiv first_ms 1000 and last_s = fdiv last_ms 1000 in
-    if first_s < 0 || last_s < first_s then begin
-      r.counters.c_malformed <- r.counters.c_malformed + 1;
-      acc
-    end
+    if first_s < 0 || last_s < first_s then
+      r.counters.c_malformed <- r.counters.c_malformed + 1
     else begin
       r.counters.c_records <- r.counters.c_records + 1;
-      {
-        src = Ipv4.of_int src;
-        dst = Ipv4.of_int dst;
-        src_port;
-        dst_port;
-        proto;
-        bytes;
-        packets;
-        first_s;
-        last_s;
-        router;
-      }
-      :: acc
+      let bt = r.batch in
+      let i = bt.len * int_stride and f = bt.len * float_stride in
+      bt.ints.(i) <- src;
+      bt.ints.(i + 1) <- dst;
+      bt.ints.(i + 2) <- src_port;
+      bt.ints.(i + 3) <- dst_port;
+      bt.ints.(i + 4) <- proto;
+      bt.ints.(i + 5) <- first_s;
+      bt.ints.(i + 6) <- last_s;
+      Float.Array.set bt.floats f bytes;
+      Float.Array.set bt.floats (f + 1) packets;
+      bt.len <- bt.len + 1
     end
 
   (* Body of a v5 packet, header already in buf[0, 24) and records in
@@ -401,31 +442,30 @@ module Wire = struct
     let seq = get_u32 b 16 in
     let router = get_u8 b 21 in
     note_seq r ~family:1 ~router ~seq ~units:count;
+    reset_batch r ~router ~records:count;
     let boot_ms = (unix_secs * 1000) + (unix_nsecs / 1_000_000) - sys_uptime in
-    let acc = ref [] in
     for i = 0 to count - 1 do
       let off = v5_header_len + (i * v5_record_len) in
-      acc :=
-        push_record r ~src:(get_u32 b off) ~dst:(get_u32 b (off + 4))
-          ~src_port:(get_u16 b (off + 32))
-          ~dst_port:(get_u16 b (off + 34))
-          ~proto:(get_u8 b (off + 38))
-          ~bytes:(float_of_int (get_u32 b (off + 20)))
-          ~packets:(float_of_int (get_u32 b (off + 16)))
-          ~first_ms:(boot_ms + get_u32 b (off + 24))
-          ~last_ms:(boot_ms + get_u32 b (off + 28))
-          ~router !acc
-    done;
-    List.rev !acc
+      push_record r ~src:(get_u32 b off) ~dst:(get_u32 b (off + 4))
+        ~src_port:(get_u16 b (off + 32))
+        ~dst_port:(get_u16 b (off + 34))
+        ~proto:(get_u8 b (off + 38))
+        ~bytes:(float_of_int (get_u32 b (off + 20)))
+        ~packets:(float_of_int (get_u32 b (off + 16)))
+        ~first_ms:(boot_ms + get_u32 b (off + 24))
+        ~last_ms:(boot_ms + get_u32 b (off + 28))
+    done
 
   (* Body of an IPFIX message, fully in buf[0, len). Unknown set ids
      are skipped (templates, options); a recognized data set with a
-     stride mismatch counts as malformed. *)
+     stride mismatch counts as malformed, and so do 1-3 bytes left
+     after the last set (too short for a set header) — once, keeping
+     the records already decoded. *)
   let decode_ipfix_body r ~len =
     let b = r.buf in
     let seq = get_u32 b 8 in
     let router = get_u32 b 12 in
-    let acc = ref [] in
+    reset_batch r ~router ~records:((len - ipfix_header_len - 4) / ipfix_record_len);
     let n_records = ref 0 in
     let pos = ref ipfix_header_len in
     let bad = ref false in
@@ -443,32 +483,32 @@ module Wire = struct
             for i = 0 to ((slen - 4) / ipfix_record_len) - 1 do
               let off = !pos + 4 + (i * ipfix_record_len) in
               incr n_records;
-              acc :=
-                push_record r ~src:(get_u32 b off) ~dst:(get_u32 b (off + 4))
-                  ~src_port:(get_u16 b (off + 8))
-                  ~dst_port:(get_u16 b (off + 10))
-                  ~proto:(get_u16 b (off + 12))
-                  ~bytes:(Int64.to_float (get_u64 b (off + 16)))
-                  ~packets:(Int64.to_float (get_u64 b (off + 24)))
-                  ~first_ms:(Int64.to_int (get_u64 b (off + 32)))
-                  ~last_ms:(Int64.to_int (get_u64 b (off + 40)))
-                  ~router !acc
+              push_record r ~src:(get_u32 b off) ~dst:(get_u32 b (off + 4))
+                ~src_port:(get_u16 b (off + 8))
+                ~dst_port:(get_u16 b (off + 10))
+                ~proto:(get_u16 b (off + 12))
+                ~bytes:(Int64.to_float (get_u64 b (off + 16)))
+                ~packets:(Int64.to_float (get_u64 b (off + 24)))
+                ~first_ms:(Int64.to_int (get_u64 b (off + 32)))
+                ~last_ms:(Int64.to_int (get_u64 b (off + 40)))
             done;
         pos := !pos + slen
       end
     done;
-    note_seq r ~family:0 ~router ~seq ~units:!n_records;
-    List.rev !acc
+    if (not !bad) && !pos < len then
+      r.counters.c_malformed <- r.counters.c_malformed + 1;
+    note_seq r ~family:0 ~router ~seq ~units:!n_records
 
-  (* Read one frame. [None] means end of stream: clean EOF, or an
-     unrecoverable framing error (counted in [malformed] — once the
-     byte stream desynchronizes there is no resync point). *)
+  (* Read and decode one frame into the batch. [false] means end of
+     stream: clean EOF, or an unrecoverable framing error (counted in
+     [malformed] — once the byte stream desynchronizes there is no
+     resync point). *)
   let read_frame r =
     match read_exactly r ~off:0 2 with
-    | `Eof -> None
+    | `Eof -> false
     | `Short ->
         r.counters.c_malformed <- r.counters.c_malformed + 1;
-        None
+        false
     | `Full -> (
         let version = get_u16 r.buf 0 in
         match version with
@@ -476,12 +516,12 @@ module Wire = struct
             match read_exactly r ~off:2 (v5_header_len - 2) with
             | `Eof | `Short ->
                 r.counters.c_malformed <- r.counters.c_malformed + 1;
-                None
+                false
             | `Full -> (
                 let count = get_u16 r.buf 2 in
                 if count < 1 || count > v5_max_records then begin
                   r.counters.c_malformed <- r.counters.c_malformed + 1;
-                  None
+                  false
                 end
                 else
                   match
@@ -489,24 +529,25 @@ module Wire = struct
                   with
                   | `Eof | `Short ->
                       r.counters.c_malformed <- r.counters.c_malformed + 1;
-                      None
+                      false
                   | `Full ->
                       r.counters.c_packets <- r.counters.c_packets + 1;
-                      Some (decode_v5_body r ~count)))
+                      decode_v5_body r ~count;
+                      true))
         | 10 -> (
             match read_exactly r ~off:2 (ipfix_header_len - 2) with
             | `Eof | `Short ->
                 r.counters.c_malformed <- r.counters.c_malformed + 1;
-                None
+                false
             | `Full -> (
                 let len = get_u16 r.buf 2 in
                 if len < ipfix_header_len then begin
                   r.counters.c_malformed <- r.counters.c_malformed + 1;
-                  None
+                  false
                 end
                 else if len = ipfix_header_len then begin
                   r.counters.c_packets <- r.counters.c_packets + 1;
-                  Some []
+                  true
                 end
                 else
                   match
@@ -515,29 +556,40 @@ module Wire = struct
                   with
                   | `Eof | `Short ->
                       r.counters.c_malformed <- r.counters.c_malformed + 1;
-                      None
+                      false
                   | `Full ->
                       r.counters.c_packets <- r.counters.c_packets + 1;
-                      Some (decode_ipfix_body r ~len)))
+                      decode_ipfix_body r ~len;
+                      true))
         | _ ->
             r.counters.c_malformed <- r.counters.c_malformed + 1;
-            None)
+            false)
 
   let rec read r =
-    match r.queue with
-    | x :: tl ->
-        r.queue <- tl;
-        Some x
-    | [] ->
-        if r.eof then None
-        else (
-          match read_frame r with
-          | None ->
-              r.eof <- true;
-              None
-          | Some recs ->
-              r.queue <- recs;
-              read r)
+    let bt = r.batch in
+    if bt.pos < bt.len then begin
+      let i = bt.pos * int_stride and f = bt.pos * float_stride in
+      bt.pos <- bt.pos + 1;
+      Some
+        {
+          src = Ipv4.of_int bt.ints.(i);
+          dst = Ipv4.of_int bt.ints.(i + 1);
+          src_port = bt.ints.(i + 2);
+          dst_port = bt.ints.(i + 3);
+          proto = bt.ints.(i + 4);
+          bytes = Float.Array.get bt.floats f;
+          packets = Float.Array.get bt.floats (f + 1);
+          first_s = bt.ints.(i + 5);
+          last_s = bt.ints.(i + 6);
+          router = bt.router;
+        }
+    end
+    else if r.eof then None
+    else if read_frame r then read r
+    else begin
+      r.eof <- true;
+      None
+    end
 
   let read_all r =
     let acc = ref [] in

@@ -81,7 +81,9 @@ module Wire : sig
     mutable c_seq_gaps : int;
         (** Total missing flows/records inferred from sequence jumps. *)
     mutable c_malformed : int;
-        (** Bad frames, truncated tails, unusable records. *)
+        (** Bad frames, truncated tails, unusable records, bad IPFIX
+            set strides, and 1-3 bytes trailing an IPFIX message's
+            last set (counted once; the message's records are kept). *)
   }
 
   val encode_v5 : router:int -> seq:int -> record list -> string

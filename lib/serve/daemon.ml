@@ -15,8 +15,9 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
   let outcomes = ref [] in
   let records = ref 0 in
   let occupancy = ref 0. in
+  let retier_s = ref 0. in
   let t0 = Clock.now clock in
-  (* Re-tier covering all stream time < [at]: drain every shard up to
+  (* Re-tier covering all stream time < [at]: advance every shard to
      the bin containing [at - 1] (records at [at] and beyond have not
      been ingested yet), retire dedup keys the window can no longer
      hold, merge and solve. *)
@@ -27,6 +28,7 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
     let t_solve = Clock.now clock in
     let o = Retier.retier retier snap in
     let latency_s = Clock.now clock -. t_solve in
+    retier_s := !retier_s +. latency_s;
     Stats.observe stats ~solve:o.Retier.o_solve ~latency_s
       ~evaluations:o.Retier.o_evaluations ~fallback:o.Retier.o_fallback;
     outcomes := o :: !outcomes;
@@ -71,6 +73,7 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
       wall_s;
       records_per_s =
         (if wall_s > 0. then float_of_int !records /. wall_s else 0.);
+      retier_s = !retier_s;
     }
   in
   {

@@ -1,9 +1,4 @@
-type part = {
-  p_dedup : Flowgen.Dedup.Stream.t option;
-  p_window : Window.t;
-  mutable p_pending : Flowgen.Netflow.record list;  (* reverse order *)
-  mutable p_count : int;
-}
+type part = { p_dedup : Flowgen.Dedup.Stream.t option; p_window : Window.t }
 
 type t = { parts : part array; wp : Window.params }
 
@@ -18,8 +13,6 @@ let create ?(expected = 1024) ~shards ~dedup wp =
               (if dedup then Some (Flowgen.Dedup.Stream.create ~expected:per ())
                else None);
             p_window = Window.create ~expected:per wp;
-            p_pending = [];
-            p_count = 0;
           });
     wp;
   }
@@ -42,34 +35,29 @@ let shard_of t r =
     let h = (s * 0x9E3779B1) lxor (d * 0x85EBCA6B) in
     h land max_int mod k
 
+(* The record goes through its shard's dedup and window at once, so no
+   record outlives its observe. Only [observe] and [snapshot] touch a
+   shard, in stream order, so its dedup and window see exactly the call
+   sequence of a 1-shard run restricted to its flows. *)
 let observe t r =
   let p = t.parts.(shard_of t r) in
-  p.p_pending <- r :: p.p_pending;
-  p.p_count <- p.p_count + 1
+  let keep =
+    match p.p_dedup with
+    | None -> true
+    | Some dd -> Flowgen.Dedup.Stream.observe dd r
+  in
+  if keep then
+    ignore
+      (Window.observe p.p_window ~src:r.Flowgen.Netflow.src
+         ~dst:r.Flowgen.Netflow.dst ~bytes:r.Flowgen.Netflow.bytes
+         ~bin:(Window.bin_of_time t.wp (float_of_int r.Flowgen.Netflow.first_s)))
 
-let pending t =
-  Array.fold_left (fun acc p -> acc + p.p_count) 0 t.parts
+let pending _ = 0
 
-(* Drain one shard's buffered records into its dedup + window, advance
-   its ring and retire dedup keys the window can no longer hold, then
-   snapshot. Runs on a pool worker; it touches only this shard's
-   state. *)
-let drain wp part ~bin ~retire_s =
-  List.iter
-    (fun r ->
-      let keep =
-        match part.p_dedup with
-        | None -> true
-        | Some dd -> Flowgen.Dedup.Stream.observe dd r
-      in
-      if keep then
-        ignore
-          (Window.observe part.p_window ~src:r.Flowgen.Netflow.src
-             ~dst:r.Flowgen.Netflow.dst ~bytes:r.Flowgen.Netflow.bytes
-             ~bin:(Window.bin_of_time wp (float_of_int r.Flowgen.Netflow.first_s))))
-    (List.rev part.p_pending);
-  part.p_pending <- [];
-  part.p_count <- 0;
+(* Advance one shard's ring, retire dedup keys the window can no longer
+   hold, then snapshot. Runs on a pool worker; it touches only this
+   shard's state. *)
+let seal part ~bin ~retire_s =
   Window.advance_to part.p_window ~bin;
   (match part.p_dedup with
   | Some dd -> Flowgen.Dedup.Stream.forget_before dd ~first_s:retire_s
@@ -117,16 +105,16 @@ let snapshot ?pool t ~bin ~retire_s =
   let snaps =
     match pool with
     (* Shard state lives in this process; a Procs or Remote pool would
-       drain out-of-process copies and discard the mutations, so only
+       seal out-of-process copies and discard the mutations, so only
        the domain backend may parallelize here. *)
     | Some pool when k > 1 && (match Engine.Pool.backend pool with
                               | Engine.Pool.Domains -> true
                               | Engine.Pool.Procs | Engine.Pool.Remote -> false)
       ->
         Engine.Pool.map pool
-          (fun i -> drain t.wp t.parts.(i) ~bin ~retire_s)
+          (fun i -> seal t.parts.(i) ~bin ~retire_s)
           (Array.init k Fun.id)
-    | _ -> Array.map (fun p -> drain t.wp p ~bin ~retire_s) t.parts
+    | _ -> Array.map (fun p -> seal p ~bin ~retire_s) t.parts
   in
   merge t snaps ~bin
 

@@ -91,7 +91,12 @@ type run = {
   occupancy : float;
   wall_s : float;
   records_per_s : float;
+  retier_s : float;
 }
+
+let ingest_records_per_s run =
+  let ingest_s = run.wall_s -. run.retier_s in
+  if ingest_s > 0. then float_of_int run.records /. ingest_s else 0.
 
 let report s run =
   let cell_i = string_of_int in
@@ -102,6 +107,7 @@ let report s run =
     [
       [ "records ingested"; cell_i run.records ];
       [ "records/s"; Tiered.Report.cell_f run.records_per_s ];
+      [ "ingest records/s"; Tiered.Report.cell_f (ingest_records_per_s run) ];
       [ "ingest shards"; cell_i run.shards ];
       [ "duplicates dropped"; cell_oi run.dropped_dup ];
       [ "late drops"; cell_i run.late ];
@@ -117,6 +123,7 @@ let report s run =
       [ "re-tier p99 (ms)"; cell_of s.p99_ms ];
       [ "re-tier max (ms)"; cell_of s.max_ms ];
       [ "seg evaluations"; cell_i s.evaluations ];
+      [ "re-tier wall (s)"; Tiered.Report.cell_f run.retier_s ];
       [ "wall (s)"; Tiered.Report.cell_f run.wall_s ];
     ]
 
@@ -125,8 +132,9 @@ let json_of = function None -> "null" | Some v -> Printf.sprintf "%.4f" v
 
 let to_json s run =
   Printf.sprintf
-    {|{"records": %d, "records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retiers": %d, "warm": %d, "cold": %d, "cached": %d, "unchanged": %d, "fallbacks": %d, "evaluations": %d, "warm_hit_rate": %.4f, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
-    run.records run.records_per_s run.shards (json_oi run.dropped_dup)
-    run.late run.seq_gaps run.malformed run.occupancy run.wall_s s.retiers
+    {|{"records": %d, "records_per_s": %.1f, "ingest_records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retier_s": %.4f, "retiers": %d, "warm": %d, "cold": %d, "cached": %d, "unchanged": %d, "fallbacks": %d, "evaluations": %d, "warm_hit_rate": %.4f, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
+    run.records run.records_per_s (ingest_records_per_s run) run.shards
+    (json_oi run.dropped_dup) run.late run.seq_gaps run.malformed
+    run.occupancy run.wall_s run.retier_s s.retiers
     s.warm s.cold s.cached s.unchanged s.fallbacks s.evaluations
     s.warm_hit_rate (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)

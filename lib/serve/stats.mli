@@ -54,8 +54,15 @@ type run = {
   shards : int;
   occupancy : float;  (** Final window occupancy. *)
   wall_s : float;
-  records_per_s : float;
+  records_per_s : float;  (** [records / wall_s]: re-tier time included. *)
+  retier_s : float;
+      (** Summed wall time of the re-tier calls, from the injected
+          clock (the shard snapshot before each one counts as ingest). *)
 }
+
+val ingest_records_per_s : run -> float
+(** Ingest-only throughput, [records / (wall_s - retier_s)]; [0] when
+    no ingest time was measured. *)
 
 val report : summary -> run -> Tiered.Report.t
 

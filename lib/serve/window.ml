@@ -13,9 +13,20 @@ type cell = {
   mutable c_last : int;  (* the bin [ring] is valid up to (inclusive) *)
 }
 
+(* Endpoint pair -> cell, with a typed hash and field-wise equality (no
+   [caml_hash] or [compare_val] call per record). The table is never
+   traversed (snapshots walk [order]), so the hash reaches no output. *)
+module Index = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = Int.equal a c && Int.equal b d
+
+  let hash (src, dst) = Tbl.hash_ints src dst
+end)
+
 type t = {
   p : params;
-  index : (int * int, cell) Hashtbl.t;
+  index : cell Index.t;
   mutable order : cell list;  (* reverse first-appearance order *)
   mutable count : int;
   mutable cur : int;  (* -1 before any observation *)
@@ -36,7 +47,7 @@ let create ?(expected = 1024) p =
         invalid_arg "Serve.Window: diurnal amplitude outside [0, 1]");
   {
     p;
-    index = Hashtbl.create expected;
+    index = Index.create expected;
     order = [];
     count = 0;
     cur = -1;
@@ -84,9 +95,9 @@ let observe t ~src ~dst ~bytes ~bin =
   else begin
     let key = (Flowgen.Ipv4.to_int src, Flowgen.Ipv4.to_int dst) in
     let cell =
-      match Hashtbl.find_opt t.index key with
-      | Some c -> c
-      | None ->
+      match Index.find t.index key with
+      | c -> c
+      | exception Not_found ->
           let c =
             {
               c_src = src;
@@ -96,7 +107,7 @@ let observe t ~src ~dst ~bytes ~bin =
               c_last = bin;
             }
           in
-          Hashtbl.add t.index key c;
+          Index.add t.index key c;
           t.order <- c :: t.order;
           t.count <- t.count + 1;
           c

@@ -33,3 +33,7 @@ let sorted_keys ?compare:(cmp = default_compare) tbl =
     | [] -> []
   in
   dedup keys
+
+let hash_ints a b =
+  let h = (a * 0x1F3D5B79_9E3779B1) lxor (b * 0x2545F491_4F6CDD1D) in
+  (h lxor (h lsr 29)) land max_int

@@ -35,3 +35,9 @@ val iter_sorted :
 
 val sorted_keys : ?compare:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
 (** Distinct keys in ascending order. *)
+
+val hash_ints : int -> int -> int
+(** A non-negative hash of two ints, for [Hashtbl.Make] keys built from
+    ints: multiplications by odd constants spread each over the word,
+    and a shift folds the high bits into the low ones the bucket index
+    reads. No [caml_hash] call. *)

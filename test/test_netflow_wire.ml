@@ -282,6 +282,162 @@ let test_encode_rejects_uncodable () =
       try ignore (Wire.encode [ r ]) with Invalid_argument _ ->
         raise (Invalid_argument ""))
 
+let test_ipfix_trailing_bytes () =
+  (* 1-3 bytes after the last set cannot hold a set header: the tail is
+     counted malformed once and the records before it are kept. Zero
+     trailing bytes stay clean. *)
+  let r i = rec_ ~src:(i + 1) ~dst:2 ~bytes:10. ~first_s:i ~last_s:(i + 1) () in
+  let msg = Wire.encode_ipfix ~router:3 ~seq:0 [ r 0; r 1 ] in
+  List.iter
+    (fun tail ->
+      let b = Bytes.make (String.length msg + tail) '\xAB' in
+      Bytes.blit_string msg 0 b 0 (String.length msg);
+      Bytes.set_uint16_be b 2 (Bytes.length b);
+      let after = Wire.encode_v5 ~router:0 ~seq:0 [ r 5 ] in
+      let recs, c = Wire.decode_string (Bytes.to_string b ^ after) in
+      let name = Printf.sprintf "%d trailing bytes" tail in
+      Alcotest.(check int) (name ^ ": records kept") 3 (List.length recs);
+      Alcotest.(check int) (name ^ ": malformed") (if tail = 0 then 0 else 1)
+        c.Wire.c_malformed;
+      Alcotest.(check int) (name ^ ": no gaps") 0 c.Wire.c_seq_gaps)
+    [ 0; 1; 2; 3 ]
+
+(* --- in-memory records against the wire ---------------------------------- *)
+
+(* A generated stream: the records in wire order and the packets that
+   carry them. Up to [packets] packets, each v5 (1-[v5_max] records,
+   32-bit counters, router < 256), IPFIX (1-[ipfix_max] records, 64-bit
+   counters) or header-only IPFIX; sequence numbers follow exporter
+   semantics, so a clean decode has no gaps. *)
+let gen_stream ~packets ~v5_max ~ipfix_max =
+  let open QCheck.Gen in
+  let gen_record ~v5 ~router =
+    let* src = int_bound 0xFFFF_FFFF
+    and* dst = int_bound 0xFFFF_FFFF
+    and* src_port = int_bound 0xFFFF
+    and* dst_port = int_bound 0xFFFF
+    and* proto = if v5 then int_bound 0xFF else int_bound 0xFFFF
+    and* bytes = if v5 then int_bound 0xFFFF_FFFF else int_bound (1 lsl 50)
+    and* packets = if v5 then int_bound 0xFFFF_FFFF else int_bound (1 lsl 40)
+    and* first_s = int_bound (if v5 then 4_000_000 else 1 lsl 40)
+    and* dur = int_bound 10_000 in
+    return
+      (rec_ ~router ~src_port ~dst_port ~proto ~packets:(float_of_int packets)
+         ~src ~dst ~bytes:(float_of_int bytes) ~first_s ~last_s:(first_s + dur) ())
+  in
+  let gen_packet =
+    let* kind = int_bound 9 in
+    if kind = 0 then return `Empty
+    else
+      let v5 = kind <= 5 in
+      let* router = if v5 then int_bound 0xFF else int_bound 0xFFFF_FFFF in
+      let* n = if v5 then 1 -- v5_max else 1 -- ipfix_max in
+      let+ recs = list_repeat n (gen_record ~v5 ~router) in
+      if v5 then `V5 (router, recs) else `Ipfix (router, recs)
+  in
+  let+ packets = list_size (0 -- packets) gen_packet in
+  let seqs = Hashtbl.create 8 in
+  let next key n =
+    let s = Option.value ~default:0 (Hashtbl.find_opt seqs key) in
+    Hashtbl.replace seqs key (s + n);
+    s
+  in
+  let empty =
+    let b = Bytes.make 16 '\000' in
+    Bytes.set_uint16_be b 0 10;
+    Bytes.set_uint16_be b 2 16;
+    Bytes.to_string b
+  in
+  List.fold_left
+    (fun (recs, pkts) p ->
+      match p with
+      | `Empty -> (recs, empty :: pkts)
+      | `V5 (router, rs) ->
+          let seq = next (router, 5) (List.length rs) in
+          (List.rev_append rs recs, Wire.encode_v5 ~router ~seq rs :: pkts)
+      | `Ipfix (router, rs) ->
+          let seq = next (router, 10) (List.length rs) in
+          (List.rev_append rs recs, Wire.encode_ipfix ~router ~seq rs :: pkts))
+    ([], []) packets
+  |> fun (recs, pkts) -> (List.rev recs, List.rev pkts)
+
+let bits = Int64.bits_of_float
+
+let same_record (a : record) (b : record) =
+  Flowgen.Ipv4.equal a.src b.src
+  && Flowgen.Ipv4.equal a.dst b.dst
+  && a.src_port = b.src_port && a.dst_port = b.dst_port && a.proto = b.proto
+  && Int64.equal (bits a.bytes) (bits b.bytes)
+  && Int64.equal (bits a.packets) (bits b.packets)
+  && a.first_s = b.first_s && a.last_s = b.last_s && a.router = b.router
+
+let same_records a b = List.length a = List.length b && List.for_all2 same_record a b
+
+(* A reader over [s] whose refill hands out at most the next chunk size
+   (cycling through [chunks]) per call, like a socket returning short
+   reads. *)
+let chunked_reader s chunks =
+  let pos = ref 0 and i = ref 0 in
+  let chunks = Array.of_list chunks in
+  Wire.of_refill (fun b off len ->
+      let c = chunks.(!i mod Array.length chunks) in
+      incr i;
+      let k = Stdlib.min (Stdlib.min len c) (String.length s - !pos) in
+      Bytes.blit_string s !pos b off k;
+      pos := !pos + k;
+      k)
+
+let print_stream (recs, pkts) =
+  Printf.sprintf "%d records in %d packets (%s bytes)" (List.length recs)
+    (List.length pkts)
+    (String.concat "+" (List.map (fun p -> string_of_int (String.length p)) pkts))
+
+let prop_chunked_decode =
+  QCheck.Test.make ~name:"chunked wire decode = decode_string = normalized records"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (st, chunks) ->
+         print_stream st ^ " chunks " ^ QCheck.Print.(list int) chunks)
+       QCheck.Gen.(
+         pair
+           (gen_stream ~packets:12 ~v5_max:30 ~ipfix_max:80)
+           (list_size (1 -- 6) (1 -- 200))))
+    (fun ((recs, pkts), chunks) ->
+      let wire = String.concat "" pkts in
+      let whole, c = Wire.decode_string wire in
+      let reader = chunked_reader wire chunks in
+      let pulled = Wire.read_all reader in
+      same_records whole pulled
+      && same_records (List.map Wire.normalize recs) whole
+      && c.Wire.c_packets = List.length pkts
+      && c.Wire.c_records = List.length recs
+      && c.Wire.c_seq_gaps = 0 && c.Wire.c_malformed = 0
+      && Wire.packets reader = c.Wire.c_packets
+      && Wire.records reader = c.Wire.c_records
+      && Wire.seq_gaps reader = 0 && Wire.malformed reader = 0)
+
+let prop_truncation =
+  QCheck.Test.make ~name:"truncation at every byte offset never raises" ~count:20
+    (QCheck.make ~print:print_stream (gen_stream ~packets:4 ~v5_max:3 ~ipfix_max:3))
+    (fun (_, pkts) ->
+      let wire = String.concat "" pkts in
+      let full, _ = Wire.decode_string wire in
+      (* Packet boundaries: a cut there is a clean, shorter stream. *)
+      let bounds =
+        List.fold_left (fun acc p -> (List.hd acc + String.length p) :: acc) [ 0 ] pkts
+      in
+      List.for_all
+        (fun n ->
+          match Wire.decode_string (String.sub wire 0 n) with
+          | recs, c ->
+              let k = List.length recs in
+              k <= List.length full
+              && same_records recs (List.filteri (fun i _ -> i < k) full)
+              && c.Wire.c_malformed = if List.mem n bounds then 0 else 1
+          | exception e ->
+              QCheck.Test.fail_reportf "cut at %d raised %s" n (Printexc.to_string e))
+        (List.init (String.length wire + 1) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "v5 round trip" `Quick test_v5_roundtrip;
@@ -296,4 +452,7 @@ let suite =
     Alcotest.test_case "empty ipfix message" `Quick test_empty_ipfix_message;
     Alcotest.test_case "channel reader" `Quick test_channel_reader;
     Alcotest.test_case "encode rejects uncodable" `Quick test_encode_rejects_uncodable;
+    Alcotest.test_case "ipfix trailing bytes" `Quick test_ipfix_trailing_bytes;
+    QCheck_alcotest.to_alcotest prop_chunked_decode;
+    QCheck_alcotest.to_alcotest prop_truncation;
   ]

@@ -345,9 +345,17 @@ let test_stats_absent_vs_zero () =
       occupancy = 1.;
       wall_s = 0.5;
       records_per_s = 20.;
+      retier_s = 0.25;
     }
   in
   let j = Stats.to_json empty run in
+  (* Ingest-only throughput leaves the re-tier wall out: 10 / 0.25. *)
+  Alcotest.(check (float 1e-9)) "ingest rate" 40. (Stats.ingest_records_per_s run);
+  Alcotest.(check bool) "ingest rate in JSON" true
+    (contains j {|"ingest_records_per_s": 40.0|});
+  Alcotest.(check bool) "retier_s in JSON" true (contains j {|"retier_s": 0.2500|});
+  Alcotest.(check (float 0.)) "no ingest time, no rate" 0.
+    (Stats.ingest_records_per_s { run with Stats.retier_s = 0.5 });
   Alcotest.(check bool) "dedup off is null" true
     (contains j {|"dropped_dup": null|});
   Alcotest.(check bool) "empty quantile is null" true
@@ -646,6 +654,266 @@ let test_shards_merge_matches_single () =
     s3.Window.s_occupancy;
   Alcotest.(check int) "same late" s1.Window.s_late s3.Window.s_late
 
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Window] against a reference keyed by a polymorphic [Hashtbl] on
+   the endpoint pair, as the window's own index was before it got a
+   typed hash. Endpoint pairs differ from a base pair in exactly one
+   endpoint, by a little or a lot. Byte counts are integers, so with no
+   decay every in-window sum is exact in any order and the reference
+   rate [bytes * 8 / (bins * bin_s * 1e6)] must match bit for bit, as
+   must uids (first appearance), late drops and the flow count. *)
+let prop_window_matches_reference =
+  (* 64 pairs, enough to share hash buckets: deltas 0-11, then powers
+     of two from 2^8 up. *)
+  let pair_of i =
+    let k = i mod 32 in
+    let d = if k < 12 then k else 1 lsl (k - 4) in
+    if i < 32 then (0x0A000001 + d, 0x0B000001) else (0x0A000001, 0x0B000001 + d)
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map3 (fun p dbin b -> `Observe (p, dbin, b)) (0 -- 63) (-3 -- 2) (1 -- 5000));
+          (1, map (fun d -> `Advance d) (0 -- 4));
+          (1, return `Snapshot);
+        ])
+  in
+  QCheck.Test.make ~name:"Window = polymorphic-Hashtbl reference on near pairs, bitwise"
+    ~count:300
+    (QCheck.make ~print:(fun (bins, ops) -> Printf.sprintf "bins=%d, %d ops" bins (List.length ops))
+       QCheck.Gen.(pair (1 -- 6) (list_size (0 -- 120) gen_op)))
+    (fun (bins, ops) ->
+      let wp = { Window.bin_s = 10; bins; decay = Window.No_decay } in
+      let w = Window.create ~expected:1 wp in
+      (* Reference: pair -> (uid, bin -> bytes), late count, current bin. *)
+      let index : (int * int, int * (int, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
+      let uids = ref [] and late = ref 0 and cur = ref (-1) and at = ref 0 in
+      let ref_snapshot () =
+        List.filter_map
+          (fun (src, dst) ->
+            let uid, per_bin = Hashtbl.find index (src, dst) in
+            let total = ref 0 in
+            for b = Stdlib.max 0 (!cur - bins + 1) to !cur do
+              total := !total + Option.value ~default:0 (Hashtbl.find_opt per_bin b)
+            done;
+            let mbps = float_of_int !total *. 8. /. (float_of_int bins *. 10. *. 1e6) in
+            if mbps > 0. then Some (src, dst, uid, mbps) else None)
+          (List.rev !uids)
+      in
+      let check_snapshot () =
+        let got =
+          Array.to_list
+            (Array.map
+               (fun (f : Window.flow_rate) ->
+                 (Flowgen.Ipv4.to_int f.f_src, Flowgen.Ipv4.to_int f.f_dst, f.f_uid, f.f_mbps))
+               (Window.snapshot w).Window.s_flows)
+        in
+        let want = ref_snapshot () in
+        List.length got = List.length want
+        && List.for_all2
+             (fun (s, d, u, m) (s', d', u', m') -> s = s' && d = d' && u = u' && bits_equal m m')
+             got want
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Observe (p, dbin, bytes) ->
+              at := Stdlib.max 0 (!at + dbin);
+              let src, dst = pair_of p in
+              let kept =
+                Window.observe w ~src:(ip src) ~dst:(ip dst) ~bytes:(float_of_int bytes) ~bin:!at
+              in
+              if !at > !cur then cur := !at;
+              let ref_kept = !at > !cur - bins in
+              if ref_kept then begin
+                let per_bin =
+                  match Hashtbl.find_opt index (src, dst) with
+                  | Some (_, t) -> t
+                  | None ->
+                      let t = Hashtbl.create 4 in
+                      Hashtbl.add index (src, dst) (List.length !uids, t);
+                      uids := (src, dst) :: !uids;
+                      t
+                in
+                Hashtbl.replace per_bin !at
+                  (bytes + Option.value ~default:0 (Hashtbl.find_opt per_bin !at))
+              end
+              else incr late;
+              Bool.equal kept ref_kept
+          | `Advance d ->
+              Window.advance_to w ~bin:(!cur + d);
+              if !cur + d > !cur then cur := !cur + d;
+              true
+          | `Snapshot -> check_snapshot ())
+          && Window.late w = !late
+          && Window.flow_count w = List.length !uids)
+        ops
+      && check_snapshot ())
+
+(* Eager [Shards] against the buffered formulation it replaced: each
+   shard keeps its records until the snapshot and only then replays
+   them through its dedup + window, advances, retires and snapshots;
+   the merge is shard-major with uids injected as [uid * k + shard].
+   Streams carry router duplicates, late and out-of-order records, and
+   flow churn (the active flow set drifts with time); the snapshots
+   must agree bit for bit at every shard count. *)
+module Buffered = struct
+  type part = {
+    dd : Flowgen.Dedup.Stream.t option;
+    win : Window.t;
+    mutable pending : Flowgen.Netflow.record list;  (* reverse order *)
+  }
+
+  type t = { route : Shards.t; wp : Window.params; parts : part array }
+
+  let create ~shards ~dedup wp =
+    {
+      route = Shards.create ~shards ~dedup wp;
+      wp;
+      parts =
+        Array.init shards (fun _ ->
+            {
+              dd = (if dedup then Some (Flowgen.Dedup.Stream.create ()) else None);
+              win = Window.create wp;
+              pending = [];
+            });
+    }
+
+  let observe t r =
+    let p = t.parts.(Shards.shard_of t.route r) in
+    p.pending <- r :: p.pending
+
+  let drain t p ~bin ~retire_s =
+    List.iter
+      (fun (r : Flowgen.Netflow.record) ->
+        let keep = match p.dd with None -> true | Some dd -> Flowgen.Dedup.Stream.observe dd r in
+        if keep then
+          ignore
+            (Window.observe p.win ~src:r.src ~dst:r.dst ~bytes:r.bytes
+               ~bin:(Window.bin_of_time t.wp (float_of_int r.first_s))))
+      (List.rev p.pending);
+    p.pending <- [];
+    Window.advance_to p.win ~bin;
+    Option.iter (fun dd -> Flowgen.Dedup.Stream.forget_before dd ~first_s:retire_s) p.dd;
+    Window.snapshot p.win
+
+  let snapshot t ~bin ~retire_s =
+    let k = Array.length t.parts in
+    let snaps = Array.map (drain t ~bin ~retire_s) t.parts in
+    let flows =
+      Array.concat
+        (Array.to_list
+           (Array.mapi
+              (fun shard s ->
+                Array.map
+                  (fun f -> { f with Window.f_uid = (f.Window.f_uid * k) + shard })
+                  s.Window.s_flows)
+              snaps))
+    in
+    {
+      Window.s_bin = bin;
+      s_flows = flows;
+      s_occupancy = Array.fold_left (fun acc s -> Float.max acc s.Window.s_occupancy) 0. snaps;
+      s_late = Array.fold_left (fun acc s -> acc + s.Window.s_late) 0 snaps;
+    }
+
+  let dropped t =
+    Array.fold_left
+      (fun acc p -> acc + Option.fold ~none:0 ~some:Flowgen.Dedup.Stream.dropped p.dd)
+      0 t.parts
+end
+
+let same_snapshot (a : Window.snapshot) (b : Window.snapshot) =
+  a.s_bin = b.s_bin && a.s_late = b.s_late
+  && bits_equal a.s_occupancy b.s_occupancy
+  && Array.length a.s_flows = Array.length b.s_flows
+  && Array.for_all2
+       (fun (f : Window.flow_rate) (g : Window.flow_rate) ->
+         Flowgen.Ipv4.equal f.f_src g.f_src && Flowgen.Ipv4.equal f.f_dst g.f_dst
+         && f.f_uid = g.f_uid && bits_equal f.f_mbps g.f_mbps)
+       a.s_flows b.s_flows
+
+type step =
+  | Record of { flow : int; dt : int; routers : int; lag : int; bytes : float }
+  | Snapshot
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 9,
+          let* flow = 0 -- 7
+          and* dt = frequency [ (3, return 0); (4, 1 -- 8); (1, 20 -- 90) ]
+          and* routers = 1 -- 3
+          and* lag = frequency [ (8, return 0); (1, 1 -- 30); (1, 40 -- 120) ]
+          and* bytes = float_range 1. 1e6 in
+          return (Record { flow; dt; routers; lag; bytes }) );
+        (1, return Snapshot);
+      ])
+
+let gen_decay =
+  QCheck.Gen.(
+    oneof
+      [
+        return Window.No_decay;
+        map (fun h -> Window.Exponential { half_life_bins = h }) (float_range 0.5 4.);
+        map2
+          (fun a p -> Window.Diurnal { amplitude = a; peak_bin = p })
+          (float_range 0. 1.) (0 -- 5);
+      ])
+
+let prop_shards_eager_matches_buffered =
+  QCheck.Test.make ~name:"eager Shards = buffered replay at snapshot, bitwise, 1-3 shards"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (bins, _, dedup, steps) ->
+         Printf.sprintf "bins=%d dedup=%b, %d steps" bins dedup (List.length steps))
+       QCheck.Gen.(
+         quad (1 -- 6) gen_decay bool (list_size (0 -- 150) gen_step)))
+    (fun (bins, decay, dedup, steps) ->
+      let wp = { Window.bin_s = 10; bins; decay } in
+      let span = bins * 10 in
+      List.for_all
+        (fun k ->
+          let eager = Shards.create ~expected:4 ~shards:k ~dedup wp in
+          let buffered = Buffered.create ~shards:k ~dedup wp in
+          let now = ref 0 in
+          let agree = ref true in
+          let snap () =
+            let bin = Window.bin_of_time wp (float_of_int !now) and retire_s = !now - span in
+            let a = Shards.snapshot eager ~bin ~retire_s in
+            let b = Buffered.snapshot buffered ~bin ~retire_s in
+            if not (same_snapshot a b) then agree := false
+          in
+          List.iter
+            (function
+              | Snapshot -> snap ()
+              | Record { flow; dt; routers; lag; bytes } ->
+                  now := !now + dt;
+                  (* Churn: the active flow ids drift one per 50 s, so
+                     flows arrive and depart over the stream. Endpoints
+                     spread over /24s so every shard gets traffic. *)
+                  let id = flow + (!now / 50) in
+                  let first_s = Stdlib.max 0 (!now - lag) in
+                  for router = 0 to routers - 1 do
+                    let r =
+                      rec_ ~router ~src_port:(1000 + (id mod 3))
+                        ~src:((((id * 7) mod 23) lsl 8) lor (id land 0xFF))
+                        ~dst:((((id * 5) mod 19) + 40) lsl 8)
+                        ~bytes ~first_s ()
+                    in
+                    Shards.observe eager r;
+                    Buffered.observe buffered r
+                  done)
+            steps;
+          snap ();
+          !agree
+          && Shards.pending eager = 0
+          && Option.value ~default:0 (Shards.dropped_dup eager) = Buffered.dropped buffered)
+        [ 1; 2; 3 ])
+
 (* --- Daemon end-to-end: warm == cold over a multi-day run ---------------- *)
 
 let serve_wp = { Window.bin_s = 3600; bins = 24; decay = Window.No_decay }
@@ -839,6 +1107,37 @@ let test_daemon_wire_counters () =
   Alcotest.(check int) "garbage accounted" 1
     result.Daemon.r_run.Stats.malformed
 
+let test_daemon_retier_wall () =
+  (* A clock that ticks one second per read: the daemon reads it once
+     before and once after each re-tier call, so every re-tier adds
+     exactly 1 s to [retier_s], and the rest of the wall is ingest. *)
+  let ticks = ref 0. in
+  let clock =
+    Clock.of_fn (fun () ->
+        let t = !ticks in
+        ticks := t +. 1.;
+        t)
+  in
+  let records =
+    List.init 6 (fun i -> rec_ ~src:(1 + i) ~dst:(101 + i) ~bytes:1e5 ~first_s:(i * 10) ())
+  in
+  let retier = Retier.create (rparams ()) ~meta_of in
+  let shards = Shards.create ~shards:1 ~dedup:true (wparams ()) in
+  let result =
+    Daemon.run ~clock ~shards ~retier { Daemon.every_s = 20 }
+      (Ingest.of_sequence records)
+  in
+  let run = result.Daemon.r_run in
+  let retiers = result.Daemon.r_stats.Stats.retiers in
+  Alcotest.(check int) "three re-tiers" 3 retiers;
+  Alcotest.(check (float 0.)) "retier_s sums re-tier calls" (float_of_int retiers)
+    run.Stats.retier_s;
+  Alcotest.(check (float 0.)) "wall spans every clock read"
+    (float_of_int ((2 * retiers) + 1)) run.Stats.wall_s;
+  Alcotest.(check (float 1e-12)) "ingest rate excludes re-tiers"
+    (6. /. (run.Stats.wall_s -. run.Stats.retier_s))
+    (Stats.ingest_records_per_s run)
+
 let test_daemon_validation () =
   let shards = Shards.create ~shards:1 ~dedup:false (wparams ()) in
   let t = Retier.create (rparams ()) ~meta_of in
@@ -888,5 +1187,8 @@ let suite =
     Alcotest.test_case "daemon out-of-order tail" `Quick test_daemon_out_of_order;
     Alcotest.test_case "daemon dedup and late" `Quick test_daemon_dedup_and_late;
     Alcotest.test_case "daemon wire counters" `Quick test_daemon_wire_counters;
+    Alcotest.test_case "daemon re-tier wall" `Quick test_daemon_retier_wall;
+    QCheck_alcotest.to_alcotest prop_shards_eager_matches_buffered;
+    QCheck_alcotest.to_alcotest prop_window_matches_reference;
     Alcotest.test_case "daemon validation" `Quick test_daemon_validation;
   ]
