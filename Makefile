@@ -10,11 +10,11 @@
 # BENCH_serve.json (streaming daemon, end to end from the wire: a
 # churned multi-day stream is encoded to a binary NetFlow v5/IPFIX
 # file and replayed through the sharded daemon; ingest throughput,
-# re-tier latency and steady-state RSS are recorded, every posted
-# window is re-verified against a from-scratch solve, the sharded leg
-# must be bitwise identical to a 1-shard golden run, and
-# arrival/departure windows must warm-start; `make bench-serve-smoke`
-# is the small CI variant) so the
+# re-tier latency and steady-state RSS are recorded, posted windows
+# are checked bitwise against the exact quadratic DP (all of them up
+# to 500 flows, every 12th plus the last above that), and the sharded
+# leg must be bitwise identical to a 1-shard golden run; `make
+# bench-serve-smoke` is the small CI variant) so the
 # perf trajectory accumulates across PRs. `make golden-regen` re-renders every registry
 # experiment and promotes the result into test/golden/ — run it (and
 # commit the diff) after an intentional output change.

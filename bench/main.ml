@@ -1089,8 +1089,8 @@ let run_pool_bench () =
    Workload scale suffix (eu_isp@N). Every cell is checked against the
    reference — the run aborts otherwise: cells up to [--dp-max-exact]
    flows run the full quadratic leg; larger cells re-solve up to 64
-   deterministically sampled columns of every retained layer with exact
-   scans ([Segdp.verify_columns], untimed), so no cell ships unchecked.
+   deterministically sampled columns of every layer with exact
+   scans ([Segdp.verify], untimed), so no cell ships unchecked.
    The run also aborts if any cell needed a quadratic-backstop layer:
    the default grid is certified fast-path-only, and a regression
    reintroducing the O(n^2) cliff fails CI here rather than surfacing
@@ -1169,20 +1169,12 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                              fast.Numerics.Segdp.value )
                   | None ->
                       (* Too big for the full quadratic leg: re-solve the
-                         same instance into a retained state and check up
-                         to 64 sampled columns of every layer with exact
-                         scans, bit-for-bit (untimed). *)
-                      let from_state, st =
-                        Numerics.Segdp.solve_with_state ~regions ~n
-                          ~n_bundles:b seg_value
-                      in
+                         same instance, check up to 64 sampled columns of
+                         every layer with exact scans and the cuts and
+                         value, bit-for-bit (untimed). *)
                       ( "sampled-columns",
-                        from_state.Numerics.Segdp.cuts
-                        = fast.Numerics.Segdp.cuts
-                        && Float.equal from_state.Numerics.Segdp.value
-                             fast.Numerics.Segdp.value
-                        && Numerics.Segdp.verify_columns ~samples:64 st
-                             seg_value )
+                        Numerics.Segdp.verify ~samples:64 ~regions ~n
+                          ~n_bundles:b seg_value fast )
                 in
                 if not cuts_identical then
                   failwith
@@ -1292,7 +1284,7 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                cases) );
       ])
 
-(* --- serve: streaming ingest + incremental re-tiering ---------------------- *)
+(* --- serve: streaming ingest + per-window re-tiering ------------------------ *)
 
 (* The streaming service under load, end to end from the wire: a
    NetFlow stream synthesized from the eu_isp calibration (scale
@@ -1304,11 +1296,10 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
    re-tier every [every_s] stream seconds. Two legs run on the same
    file: [--serve-shards] shards on a domain pool, and an unsharded
    golden leg; posted tiers must be bitwise-identical between them.
-   The sharded leg's windows are then re-verified cut-for-cut against
-   from-scratch solves, and the solve mix is pinned: arrivals and
-   departures must warm-start, so cold solves number exactly
-   1 + (actual solves / cold_every) — the first window plus the drill.
-   Any violation fails the bench like a sweep divergence would.
+   The sharded leg's windows are then checked against the exact
+   quadratic DP on the market each re-tier solved: every window up to
+   500 flows, above that every 12th window plus the last. Any violation
+   fails the bench like a sweep divergence would.
    BENCH_serve.json records throughput, latency histogram, shard
    equality, wire counters and steady-state RSS. *)
 
@@ -1346,16 +1337,17 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
   let w = Flowgen.Workload.preset name in
   let bin_s = 3600 and bins = 24 in
   let wp = { Serve.Window.bin_s; bins; decay = Serve.Window.No_decay } in
+  let n_bundles = 4 in
   let make_retier () =
     Serve.Retier.create
       {
         Serve.Retier.spec = Market.Ced;
         alpha = 2.0;
         p0 = 30.;
-        n_bundles = 4;
+        n_bundles;
         cost_model = Cost_model.concave ~theta:0.5;
         samples = 8;
-        cold_every = 24;  (* one forced divergence drill per stream day *)
+        cold_every = 0;
         use_cache = false;
       }
       ~meta_of:(Serve.Retier.meta_of_workload w)
@@ -1370,9 +1362,8 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
       (Flowgen.Netflow.synthesize ~rng (Flowgen.Workload.to_ground_truth w))
   in
   (* Churn cohort: every 11th flow id is dark on odd days, so day
-     boundaries produce windows whose flow *set* changes — the
-     structural-delta path — while the rest of each day exercises
-     plain suffix-dirty warm starts. *)
+     boundaries produce windows whose flow *set* changes (arrivals and
+     departures) on top of the per-hour demand drift. *)
   let churn = Hashtbl.create 256 in
   List.iter
     (fun (f : Flowgen.Workload.flow) ->
@@ -1441,13 +1432,14 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
   Sys.remove wire_file;
   let s = result.Serve.Daemon.r_stats in
   let run = result.Serve.Daemon.r_run in
+  let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let outcome_matches (o : Serve.Retier.outcome) (c : Serve.Retier.outcome) =
     List.equal Int.equal o.Serve.Retier.o_cuts c.Serve.Retier.o_cuts
     && Array.length o.Serve.Retier.o_prices
        = Array.length c.Serve.Retier.o_prices
-    && Array.for_all2 Float.equal o.Serve.Retier.o_prices
+    && Array.for_all2 bits_equal o.Serve.Retier.o_prices
          c.Serve.Retier.o_prices
-    && Float.equal o.Serve.Retier.o_profit c.Serve.Retier.o_profit
+    && bits_equal o.Serve.Retier.o_profit c.Serve.Retier.o_profit
   in
   (* Golden leg: the sharded run's posted tiers must match the 1-shard
      run's bitwise, window for window. *)
@@ -1456,18 +1448,41 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
     && List.for_all2 (fun (_, o) (_, o1) -> outcome_matches o o1) posted
          posted1
   in
-  let verified =
-    List.for_all
-      (fun (snap, o) -> outcome_matches o (Serve.Retier.solve_cold retier snap))
+  (* Reference leg: the exact quadratic DP on the market the re-tier
+     solved; its cuts, and the prices and profit [Pricing.evaluate]
+     gives on them, must equal the posted ones bitwise. The quadratic
+     DP is O(B n^2), so windows above 500 flows are sampled: every
+     12th one plus the last. *)
+  let quadratic_matches snap (o : Serve.Retier.outcome) =
+    match Serve.Retier.market retier snap with
+    | None -> o.Serve.Retier.o_n_flows = 0
+    | Some m ->
+        let order, seg_value, _ = Strategy.dp_inputs m in
+        let q =
+          Numerics.Segdp.solve_quadratic ~n:(Market.n_flows m) ~n_bundles
+            seg_value
+        in
+        let cuts = q.Numerics.Segdp.cuts in
+        let priced = Pricing.evaluate m (Bundle.contiguous ~order ~cuts) in
+        o.Serve.Retier.o_n_flows = Market.n_flows m
+        && outcome_matches o
+          {
+            o with
+            Serve.Retier.o_cuts = cuts;
+            o_prices = priced.Pricing.bundle_prices;
+            o_profit = priced.Pricing.profit;
+          }
+  in
+  let last = List.length posted - 1 in
+  let checked =
+    List.filteri
+      (fun k (_, (o : Serve.Retier.outcome)) ->
+        o.Serve.Retier.o_n_flows <= 500 || k mod 12 = 0 || k = last)
       posted
   in
-  (* Arrival/departure-only windows must warm-start: cold solves are
-     exactly the first window plus the cold_every drills (the drill
-     fires on every 24th actual solve; solve #1 is the ordinary cold
-     start, never a drill). *)
-  let actual_solves = s.Serve.Stats.warm + s.Serve.Stats.cold in
-  let cold_expected = 1 + (actual_solves / 24) in
-  let drills_only = s.Serve.Stats.cold = cold_expected in
+  let quadratic_identical =
+    List.for_all (fun (snap, o) -> quadratic_matches snap o) checked
+  in
   (* Shard speedup: 1-shard ingest wall over the sharded leg's. Only
      meaningful when the sharded leg actually ran on >1 shard. *)
   let shard_speedup =
@@ -1476,13 +1491,11 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
     else None
   in
   Report.print ppf (Serve.Stats.report s run);
-  Format.fprintf ppf "windows verified against cold solve: %d (%s)@."
-    s.Serve.Stats.retiers
-    (if verified then "cut-for-cut identical" else "DIVERGED");
+  Format.fprintf ppf "windows checked against the quadratic DP: %d of %d (%s)@."
+    (List.length checked) s.Serve.Stats.retiers
+    (if quadratic_identical then "bitwise identical" else "DIVERGED");
   Format.fprintf ppf "%d-shard vs 1-shard posted tiers: %s@." shards
     (if shards_identical then "bitwise identical" else "DIVERGED");
-  Format.fprintf ppf "cold solves: %d (expected %d = 1 + drills)@."
-    s.Serve.Stats.cold cold_expected;
   Json_out.(
     write ppf "BENCH_serve.json"
       [
@@ -1513,17 +1526,14 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
           Raw
             (Serve.Stats.to_json result1.Serve.Daemon.r_stats
                result1.Serve.Daemon.r_run) );
-        ("windows_verified", Int s.Serve.Stats.retiers);
-        ("warm_equals_cold", Bool verified);
+        ("windows_checked_quadratic", Int (List.length checked));
+        ("quadratic_identical", Bool quadratic_identical);
         ("shards_identical", Bool shards_identical);
-        ("cold_only_drills", Bool drills_only);
       ]);
-  if not verified then
-    failwith "serve: warm-started tiers diverged from the cold solve";
+  if not quadratic_identical then
+    failwith "serve: posted tiers diverged from the quadratic DP";
   if not shards_identical then
-    failwith "serve: sharded posted tiers diverged from the 1-shard run";
-  if not drills_only then
-    failwith "serve: flow churn forced cold solves outside the drill cadence"
+    failwith "serve: sharded posted tiers diverged from the 1-shard run"
 
 (* --- micro-benchmarks ----------------------------------------------------- *)
 

@@ -651,13 +651,6 @@ let serve_cmd =
     Arg.(value & opt int 0
          & info [ "peak-bin" ] ~docv:"N" ~doc:"Diurnal peak bin.")
   in
-  let cold_every_arg =
-    Arg.(value & opt int 24
-         & info [ "cold-every" ] ~docv:"N"
-             ~doc:"Force the divergence fallback (a full re-solve through \
-                   the exact path) on every $(docv)-th solve; 0 disables \
-                   the drill.")
-  in
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -688,9 +681,7 @@ let serve_cmd =
       fmt
   in
   let run network demand cost theta alpha p0 s0 bundles days seed bin_s bins
-      every decay half_life amplitude peak cold_every cache max_bytes json
-      from_ shards =
-    enable_cache cache max_bytes;
+      every decay half_life amplitude peak json from_ shards =
     let spec = spec_of ~demand ~s0 in
     (match spec with
     | Market.Linear _ ->
@@ -704,7 +695,6 @@ let serve_cmd =
     if bins < 1 then usage "--bins must be at least 1";
     if every < 1 then usage "--every must be at least 1";
     if bundles < 1 then usage "--bundles must be at least 1";
-    if cold_every < 0 then usage "--cold-every must be non-negative";
     if shards < 1 then usage "--shards must be at least 1";
     (match decay with
     | `Exponential when not (half_life > 0. && Float.is_finite half_life) ->
@@ -734,8 +724,8 @@ let serve_cmd =
           n_bundles = bundles;
           cost_model = cost_model_of ~cost ~theta;
           samples = 8;
-          cold_every;
-          use_cache = cache || max_bytes <> None;
+          cold_every = 0;
+          use_cache = false;
         }
         ~meta_of:(Serve.Retier.meta_of_workload w)
     in
@@ -789,14 +779,13 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the streaming pricing service on a synthesized NetFlow \
-             stream: sliding-window demand, incremental re-tiering with \
-             warm-started solves, posted tiers identical to from-scratch \
-             solves.")
+             stream: sliding-window demand on a calibration frozen at the \
+             first window, re-tiered by one certified tier solve per \
+             window.")
     Term.(const run $ network_arg $ demand_arg $ cost_arg $ theta_arg
           $ alpha_arg $ p0_arg $ s0_arg $ bundles_arg $ days_arg $ seed_arg
           $ bin_arg $ bins_arg $ every_arg $ decay_arg $ half_life_arg
-          $ amplitude_arg $ peak_arg $ cold_every_arg $ cache_arg
-          $ cache_max_bytes_arg $ json_arg $ from_arg $ shards_arg)
+          $ amplitude_arg $ peak_arg $ json_arg $ from_arg $ shards_arg)
 
 (* --- worker -------------------------------------------------------------------- *)
 

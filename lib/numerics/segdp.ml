@@ -55,9 +55,6 @@ let checked_gets = false
 let[@inline] fget (a : float array) i =
   if checked_gets then Array.get a i else Array.unsafe_get a i
 
-let[@inline] iget (a : int array) i =
-  if checked_gets then Array.get a i else Array.unsafe_get a i
-
 let no_regions = [| 0 |]
 
 let validate ~n ~n_bundles =
@@ -133,29 +130,17 @@ let dandc_range ~prev ~cur ~choice_row ~seg ~jlo ~jhi ~ilo ~ihi =
   in
   go jlo jhi ilo ihi
 
-(* Region-wise D&C over columns [max b jlo0 .. n-1]. Each region
-   re-anchors the candidate range at [b] — monotone argmaxes are only
-   assumed within a region, never across a boundary. When the first
-   processed column has an in-region left neighbour (the warm-start
-   suffix case), that clean column's stored argmax bounds the suffix
-   argmaxes from below. *)
-let dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0 =
+(* Region-wise D&C over columns [b .. n-1]. Each region re-anchors the
+   candidate range at [b] — monotone argmaxes are only assumed within a
+   region, never across a boundary. *)
+let dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions =
   let nreg = Array.length regions in
-  let r0 =
-    if jlo0 <= 0 then 0 else region_of regions (Stdlib.min jlo0 (n - 1))
-  in
-  for r = r0 to nreg - 1 do
+  for r = 0 to nreg - 1 do
     let rlo = regions.(r) in
     let rhi = if r + 1 < nreg then regions.(r + 1) - 1 else n - 1 in
-    let jlo = Stdlib.max b (Stdlib.max rlo jlo0) in
-    if jlo <= rhi then begin
-      let ilo =
-        if jlo - 1 >= b && jlo - 1 >= rlo then
-          Stdlib.max (iget choice_row (jlo - 1)) b
-        else b
-      in
-      dandc_range ~prev ~cur ~choice_row ~seg ~jlo ~jhi:rhi ~ilo ~ihi:rhi
-    end
+    let jlo = Stdlib.max b rlo in
+    if jlo <= rhi then
+      dandc_range ~prev ~cur ~choice_row ~seg ~jlo ~jhi:rhi ~ilo:b ~ihi:rhi
   done
 
 (* SMAWK over the staircase layer matrix: rows are DP columns [j],
@@ -355,7 +340,7 @@ let tm_valid ~prev ~seg ~b ~n ~samples =
    accepts the region-wise D&C outright (documented contract). *)
 let ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
     ~choice_row ~seg ~b ~n =
-  dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions ~jlo0:0;
+  dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions;
   let dandc_ok =
     samples = 0
     || (monge_valid ~seg ~b ~n ~samples ~regions
@@ -449,311 +434,33 @@ let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
       ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
         ~choice_row ~seg ~b ~n)
 
-(* --- warm start ----------------------------------------------------------- *)
+(* --- verification --------------------------------------------------------- *)
 
-(* The streaming re-tier loop solves an almost-identical instance every
-   window: only a suffix of the cost-sorted positions changes. Retaining
-   the full DP matrices lets the next solve recompute exactly the
-   columns [dirty_from ..] of every layer — column j of any layer
-   depends only on [prev] at positions [< j] and on [seg i j] with
-   [i <= j], so every column left of the first dirty position is
-   untouched by construction, not by assumption. The recomputed suffix
-   runs the region-wise divide-and-conquer with the candidate range
-   inherited from the last clean column's stored argmax (same-region
-   columns only), and every layer is re-validated by the same spot-check
-   [solve] uses; a failed check abandons the warm attempt and re-solves
-   from scratch through the full ladder into the same state, so a warm
-   result can never silently diverge from a cold one. *)
-
-type state = {
-  mutable st_n : int;
-  st_n_bundles : int;
-  mutable st_b_max : int;
-  mutable st_dp : float array array;  (* b_max rows of n layer values *)
-  mutable st_choice : int array array;  (* b_max rows; row 0 unused *)
-  mutable st_last : float array;  (* dp value of the full prefix per layer *)
-  mutable st_regions : int array;  (* region starts of the last solve *)
-}
-
-(* Fill every layer of [st] from scratch — the same computations as
-   [solve] (the full D&C -> SMAWK -> exact ladder), just written into
-   retained rows instead of a rolling pair. *)
-let fill_state ~samples ~smawk_count ~fallback_count st seg =
-  let n = st.st_n and b_max = st.st_b_max in
-  let regions = st.st_regions in
-  let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
-  for j = 0 to n - 1 do
-    dp.(0).(j) <- seg 0 j
-  done;
-  last.(0) <- dp.(0).(n - 1);
-  for b = 1 to b_max - 1 do
-    let prev = dp.(b - 1) and cur = dp.(b) in
-    let choice_row = choice.(b) in
-    Array.fill cur 0 n Float.neg_infinity;
-    ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
-      ~choice_row ~seg ~b ~n;
-    last.(b) <- cur.(n - 1)
-  done
-
-let solve_with_state ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles
-    seg_value =
-  validate ~n ~n_bundles;
-  check_regions ~n regions;
-  let b_max = Stdlib.min n_bundles n in
-  let st =
-    {
-      st_n = n;
-      st_n_bundles = n_bundles;
-      st_b_max = b_max;
-      st_dp = Array.make_matrix b_max n Float.neg_infinity;
-      st_choice = Array.make_matrix b_max n 0;
-      st_last = Array.make b_max Float.neg_infinity;
-      st_regions = regions;
-    }
-  in
-  let evals = ref 0 and smawk_count = ref 0 and fallback_count = ref 0 in
-  let seg i j =
-    incr evals;
-    seg_value i j
-  in
-  fill_state ~samples ~smawk_count ~fallback_count st seg;
-  ( finish ~choice:st.st_choice ~last:st.st_last ~b_max ~n
-      ~stats:
-        {
-          layers = b_max;
-          smawk_layers = !smawk_count;
-          fallback_layers = !fallback_count;
-          evaluations = !evals;
-          regions = Array.length regions;
-        },
-    st )
-
-let state_n st = st.st_n
-let state_n_bundles st = st.st_n_bundles
-
-let solve_warm ?(samples = 16) ?regions ?(force_fallback = false) st
-    ~dirty_from seg_value =
-  let n = st.st_n and b_max = st.st_b_max in
-  if dirty_from < 0 || dirty_from > n then
-    invalid_arg "Segdp.solve_warm: dirty_from out of [0, n]";
-  (match regions with
-  | Some r ->
-      check_regions ~n r;
-      st.st_regions <- r
-  | None -> ());
-  let regions = st.st_regions in
-  let nregions = Array.length regions in
-  if dirty_from = n && not force_fallback then
-    (* Nothing changed: replay the traceback from the retained state. *)
-    ( finish ~choice:st.st_choice ~last:st.st_last ~b_max ~n
-        ~stats:
-          {
-            layers = 0;
-            smawk_layers = 0;
-            fallback_layers = 0;
-            evaluations = 0;
-            regions = nregions;
-          },
-      `Warm )
-  else begin
-    let evals = ref 0 in
-    let seg i j =
-      incr evals;
-      seg_value i j
-    in
-    let d = Stdlib.min dirty_from (n - 1) in
-    let dp = st.st_dp and choice = st.st_choice and last = st.st_last in
-    let ok = ref (not force_fallback) in
-    if !ok then begin
-      for j = d to n - 1 do
-        dp.(0).(j) <- seg 0 j
-      done;
-      last.(0) <- dp.(0).(n - 1);
-      let b = ref 1 in
-      while !ok && !b < b_max do
-        let b' = !b in
-        let prev = dp.(b' - 1) and cur = dp.(b') in
-        let choice_row = choice.(b') in
-        let jlo = Stdlib.max b' d in
-        dandc_regions ~prev ~cur ~choice_row ~seg ~b:b' ~n ~regions ~jlo0:jlo;
-        ok :=
-          monge_valid ~seg ~b:b' ~n ~samples ~regions
-          && columns_valid ~prev ~cur ~choice_row ~seg ~b:b' ~n ~samples
-               ~regions;
-        last.(b') <- cur.(n - 1);
-        incr b
-      done
-    end;
-    if !ok then
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = 0;
-              fallback_layers = 0;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Warm )
-    else begin
-      (* Divergence (or a forced drill): recompute every layer from
-         scratch through the ladder into the same state. The warm
-         attempt's evaluations stay in the bill — they were really
-         spent. *)
-      let smawk_count = ref 0 and fallback_count = ref 0 in
-      fill_state ~samples ~smawk_count ~fallback_count st seg;
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = !smawk_count;
-              fallback_layers = !fallback_count;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Cold )
-    end
-  end
-
-(* --- structural deltas ---------------------------------------------------- *)
-
-(* Flow arrivals and departures change the instance {e size}, not just a
-   suffix of values: the cost-ordered index injection maps every
-   retained position [< dirty_from] to the same index in the new
-   instance, and everything at or past the first structural change is
-   new territory. The retained rows are reallocated at the new width
-   with the clean prefix blitted across — valid because column j of any
-   layer depends only on positions [<= j], so a prefix that is
-   bitwise-identical as an {e instance} has bitwise-identical columns.
-   The suffix recompute is exactly [solve_warm]'s, with the same
-   per-layer spot-checks; any failure falls back to a full cold fill
-   into the (already resized) state. *)
-let solve_structural ?(samples = 16) ?regions ?(force_fallback = false) st ~n
-    ~dirty_from seg_value =
-  if n < 1 then invalid_arg "Segdp.solve_structural: n must be positive";
-  let old_n = st.st_n and old_b_max = st.st_b_max in
-  if dirty_from < 0 || dirty_from > Stdlib.min old_n n then
-    invalid_arg "Segdp.solve_structural: dirty_from out of [0, min old_n n]";
-  (match regions with
-  | Some r ->
-      check_regions ~n r;
-      st.st_regions <- r
-  | None ->
-      (* Region starts from the previous (different-sized) instance can
-         point past the new end; keep only the valid prefix. *)
-      if n <> old_n then
-        st.st_regions <-
-          Array.of_seq
-            (Seq.filter (fun s -> s < n) (Array.to_seq st.st_regions)));
-  if n = old_n then solve_warm ~samples ~force_fallback st ~dirty_from seg_value
-  else begin
-    let b_max = Stdlib.min st.st_n_bundles n in
-    let d = dirty_from in
-    let old_dp = st.st_dp and old_choice = st.st_choice in
-    let dp = Array.make_matrix b_max n Float.neg_infinity in
-    let choice = Array.make_matrix b_max n 0 in
-    let last = Array.make b_max Float.neg_infinity in
-    for b = 0 to Stdlib.min b_max old_b_max - 1 do
-      Array.blit old_dp.(b) 0 dp.(b) 0 d;
-      Array.blit old_choice.(b) 0 choice.(b) 0 d
-    done;
-    st.st_n <- n;
-    st.st_b_max <- b_max;
-    st.st_dp <- dp;
-    st.st_choice <- choice;
-    st.st_last <- last;
-    let regions = st.st_regions in
-    let nregions = Array.length regions in
-    let evals = ref 0 in
-    let seg i j =
-      incr evals;
-      seg_value i j
-    in
-    let ok = ref (not force_fallback) in
-    if !ok then
-      if d = n then
-        (* Pure truncation (departures off the tail): every retained
-           column is still exact; only the per-layer totals move to the
-           new final column. Zero evaluations, like an unchanged
-           replay. *)
-        for b = 0 to b_max - 1 do
-          last.(b) <- dp.(b).(n - 1)
-        done
-      else begin
-        for j = d to n - 1 do
-          dp.(0).(j) <- seg 0 j
-        done;
-        last.(0) <- dp.(0).(n - 1);
-        let b = ref 1 in
-        while !ok && !b < b_max do
-          let b' = !b in
-          let prev = dp.(b' - 1) and cur = dp.(b') in
-          let choice_row = choice.(b') in
-          (* Layers beyond the old [b_max] (the instance grew past a
-             tiny old size) have no retained prefix; [max b' d] starts
-             them at their first real column anyway because
-             [d <= old_n <= b'] there. *)
-          let jlo = Stdlib.max b' d in
-          dandc_regions ~prev ~cur ~choice_row ~seg ~b:b' ~n ~regions
-            ~jlo0:jlo;
-          ok :=
-            monge_valid ~seg ~b:b' ~n ~samples ~regions
-            && columns_valid ~prev ~cur ~choice_row ~seg ~b:b' ~n ~samples
-                 ~regions;
-          last.(b') <- cur.(n - 1);
-          incr b
-        done
-      end;
-    if !ok then
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = (if d = n then 0 else b_max);
-              smawk_layers = 0;
-              fallback_layers = 0;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Warm )
-    else begin
-      let smawk_count = ref 0 and fallback_count = ref 0 in
-      fill_state ~samples ~smawk_count ~fallback_count st seg;
-      ( finish ~choice ~last ~b_max ~n
-          ~stats:
-            {
-              layers = b_max;
-              smawk_layers = !smawk_count;
-              fallback_layers = !fallback_count;
-              evaluations = !evals;
-              regions = nregions;
-            },
-        `Cold )
-    end
-  end
-
-let verify_columns ?(samples = 64) st seg_value =
-  let n = st.st_n and b_max = st.st_b_max in
-  let dp = st.st_dp and choice = st.st_choice in
+(* The exact check for instances too large for [solve_quadratic]: re-solve
+   through the same ladder, checking up to [samples] deterministically
+   drawn columns of every layer against an exact full-range scan (value
+   and argmax bit-for-bit) as the layer is produced, then require the
+   given result's cuts and value to be the re-solve's, bit-for-bit. The
+   base layer is [seg_value 0 j] by construction, so it needs no draw. *)
+let verify ?(samples = 64) ?(regions = no_regions) ~n ~n_bundles seg_value r =
+  let smawk_count = ref 0 and fallback_count = ref 0 in
   let ok = ref true in
-  let b = ref 0 in
-  while !ok && !b < b_max do
-    let b' = !b in
-    let state = ref (Int64.of_int (0x165667B1 + (b' * 0x85EBCA6B))) in
-    let draws = Stdlib.min samples (n - b') in
-    let s = ref 0 in
-    while !ok && !s < draws do
-      let j = b' + sample_int state (n - b') in
-      if b' = 0 then begin
-        if not (Float.equal dp.(0).(j) (seg_value 0 j)) then ok := false
-      end
-      else begin
-        let best, best_i = exact_best ~prev:dp.(b' - 1) ~seg:seg_value ~b:b' j in
-        if
-          (not (Float.equal dp.(b').(j) best)) || choice.(b').(j) <> best_i
-        then ok := false
-      end;
-      incr s
-    done;
-    incr b
-  done;
+  let again =
+    run ~n ~n_bundles ~regions ~smawk_count ~fallback_count seg_value
+      ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
+        ladder_layer ~samples:16 ~regions ~smawk_count ~fallback_count ~prev
+          ~cur ~choice_row ~seg ~b ~n;
+        let state = ref (Int64.of_int (0x165667B1 + (b * 0x85EBCA6B))) in
+        let draws = Stdlib.min samples (n - b) in
+        let s = ref 0 in
+        while !ok && !s < draws do
+          let j = b + sample_int state (n - b) in
+          let best, best_i = exact_best ~prev ~seg:seg_value ~b j in
+          if (not (Float.equal cur.(j) best)) || choice_row.(j) <> best_i then
+            ok := false;
+          incr s
+        done)
+  in
   !ok
+  && List.equal Int.equal again.cuts r.cuts
+  && Float.equal again.value r.value

@@ -80,89 +80,19 @@ val solve :
     [Strategy.dp_inputs], which derives the logit decomposition. Raises
     [Invalid_argument] on malformed [n], [n_bundles] or [regions]. *)
 
-(** {2 Warm start}
-
-    The streaming re-tier loop (DESIGN.md §12) solves a near-identical
-    instance every window: only positions [>= dirty_from] of the
-    cost-sorted input change. [solve_with_state] retains the full DP
-    matrices; [solve_warm] then recomputes only the dirty column suffix
-    of every layer — columns left of [dirty_from] are provably
-    untouched, because column [j] depends only on positions [<= j] —
-    re-validating each layer with the same spot-check [solve] runs and
-    re-solving everything from scratch (through the full ladder) when a
-    check trips. A warm result is therefore always cut-for-cut what the
-    cold solver would have returned on the same inputs. *)
-
-type state
-(** Retained DP matrices (O(n_bundles * n) floats), mutated in place by
-    {!solve_warm}. *)
-
-val state_n : state -> int
-val state_n_bundles : state -> int
-
-val solve_with_state :
+val verify :
   ?samples:int ->
   ?regions:int array ->
   n:int ->
   n_bundles:int ->
   (int -> int -> float) ->
-  result * state
-(** Exactly {!solve} (same cuts, value and tie-breaks), additionally
-    returning the retained state for later warm calls. The state
-    remembers [regions] until a later {!solve_warm} overrides them. *)
-
-val solve_warm :
-  ?samples:int ->
-  ?regions:int array ->
-  ?force_fallback:bool ->
-  state ->
-  dirty_from:int ->
-  (int -> int -> float) ->
-  result * [ `Warm | `Cold ]
-(** [solve_warm state ~dirty_from seg_value] re-solves with the given
-    [seg_value], which must agree with the previous call's on every
-    segment contained in positions [< dirty_from]. [dirty_from = n]
-    means nothing changed (the retained optimum is replayed with zero
-    evaluations). [regions], when given, replaces the state's retained
-    decomposition (demand changes can move clamp boundaries between
-    windows). Returns [`Warm] when the suffix recompute passed every
-    layer's spot-check, [`Cold] when a check tripped and the state was
-    recomputed from scratch through the ladder (warm-attempt evaluations
-    included in [stats]). [force_fallback] skips the warm attempt and
-    takes the divergence path directly — the fault-injection drill the
-    streaming service's tests and smoke use. Raises [Invalid_argument]
-    when [dirty_from] is outside [\[0, n\]] or [regions] is malformed. *)
-
-val solve_structural :
-  ?samples:int ->
-  ?regions:int array ->
-  ?force_fallback:bool ->
-  state ->
-  n:int ->
-  dirty_from:int ->
-  (int -> int -> float) ->
-  result * [ `Warm | `Cold ]
-(** Structural warm start: the instance {e size} changed (flow arrivals
-    and departures in the cost-ordered input), and positions
-    [< dirty_from] of the new instance are bitwise-identical — as an
-    instance, [seg_value] included — to the same positions of the
-    retained one. The retained rows are remapped through that index
-    injection (reallocated at width [n], clean prefix blitted) and only
-    columns [>= dirty_from] are recomputed, with the same per-layer
-    spot-checks as {!solve_warm}; any trip falls back to a full cold
-    fill. [dirty_from = n < old n] is a pure tail truncation and
-    replays with zero evaluations. When [n] equals the retained size
-    this is exactly {!solve_warm}. [regions] should be passed whenever
-    the instance changed (decomposition boundaries move); if omitted on
-    a resize, the retained starts are clipped to [< n]. Raises
-    [Invalid_argument] when [n < 1] or [dirty_from] is outside
-    [\[0, min old_n n\]]. *)
-
-val verify_columns : ?samples:int -> state -> (int -> int -> float) -> bool
-(** [verify_columns st seg_value] re-solves up to [samples] (default
-    [64]) deterministically drawn columns of every retained layer with
-    exact full-range scans and checks them — value and argmax — against
-    the state bit-for-bit (layer 0 against [seg_value 0 j] directly).
-    The bench uses this as the exact spot-check on cells too large to
-    run the full quadratic reference. [seg_value] must be the function
-    the state was last solved with. *)
+  result ->
+  bool
+(** [verify ~n ~n_bundles seg_value r] is the exact check for instances
+    too large for {!solve_quadratic}: it re-solves through the ladder
+    (with the given [regions]) and re-solves up to [samples] (default
+    [64]) deterministically drawn columns of every layer with exact
+    full-range scans, value and argmax bit-for-bit; [r]'s cuts and
+    value must equal the re-solve's bit-for-bit. [r] is normally the
+    result of {!solve} on the same arguments. Raises
+    [Invalid_argument] like {!solve}. *)

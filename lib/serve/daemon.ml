@@ -29,8 +29,8 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
     let o = Retier.retier retier snap in
     let latency_s = Clock.now clock -. t_solve in
     retier_s := !retier_s +. latency_s;
-    Stats.observe stats ~solve:o.Retier.o_solve ~latency_s
-      ~evaluations:o.Retier.o_evaluations ~fallback:o.Retier.o_fallback;
+    Stats.observe stats ~latency_s ~evaluations:o.Retier.o_evaluations
+      ~fallback:o.Retier.o_fallback;
     outcomes := o :: !outcomes;
     match on_retier with Some f -> f snap o | None -> ()
   in

@@ -35,17 +35,6 @@ type params = {
   use_cache : bool;
 }
 
-(* The per-position signature the dirty detection runs on: positions
-   are the DP's cost order, so an unchanged prefix of signatures means
-   an unchanged prefix of segment values (under CED; see [dirty_from]
-   for the logit caveat). The signature keys on demand rather than
-   valuation: the valuation is a fixed bijection of demand under the
-   frozen calibration, so equality of (cost, demand, id) is equality of
-   the DP inputs — and unchanged windows never pay the inversion. *)
-type sig_entry = { g_cost : float; g_q : float; g_uid : int }
-
-type solved = { s_cuts : int list; s_prices : float array; s_profit : float }
-
 type calib = {
   gamma : float;
   rel_cost : Flow.t -> float;
@@ -58,16 +47,11 @@ type calib = {
 type t = {
   params : params;
   meta_of : Flowgen.Ipv4.t -> Flowgen.Ipv4.t -> flow_meta option;
-  cache : solved Engine.Cache.t option;
   mutable calib : calib option;
   mutable meta_memo : flow_meta option option array;
       (* window uid -> oracle answer; window uids are dense and stable,
          so the per-window join is an array probe, not a rehash of
          every endpoint pair. *)
-  mutable dp : Numerics.Segdp.state option;
-  mutable dp_sig : sig_entry array;  (* signature the retained state solved *)
-  mutable last : solved option;  (* priced outcome matching [dp_sig] *)
-  mutable solves : int;  (* warm/cold solves, for the cold_every drill *)
 }
 
 let create params ~meta_of =
@@ -77,21 +61,7 @@ let create params ~meta_of =
   | Market.Ced | Market.Logit _ -> ());
   if params.n_bundles < 1 then invalid_arg "Serve.Retier: n_bundles < 1";
   if params.samples < 0 then invalid_arg "Serve.Retier: samples < 0";
-  if params.cold_every < 0 then invalid_arg "Serve.Retier: cold_every < 0";
-  {
-    params;
-    meta_of;
-    cache =
-      (if params.use_cache then
-         Some (Engine.Cache.create ~schema:"serve-retier-v1" ~name:"serve-retier" ())
-       else None);
-    calib = None;
-    meta_memo = [||];
-    dp = None;
-    dp_sig = [||];
-    last = None;
-    solves = 0;
-  }
+  { params; meta_of; calib = None; meta_memo = [||] }
 
 let calibrated t = t.calib <> None
 
@@ -102,8 +72,6 @@ type outcome = {
   o_cuts : int list;
   o_prices : float array;
   o_profit : float;
-  o_solve : [ `Warm | `Cold | `Cached | `Unchanged ];
-  o_dirty_from : int;
   o_evaluations : int;
   o_fallback : bool;
 }
@@ -116,8 +84,6 @@ let empty_outcome ~bin ~skipped =
     o_cuts = [];
     o_prices = [||];
     o_profit = 0.;
-    o_solve = `Unchanged;
-    o_dirty_from = 0;
     o_evaluations = 0;
     o_fallback = false;
   }
@@ -189,11 +155,13 @@ let cost_of calib m ~q =
       Hashtbl.add calib.costs m.m_id c;
       c
 
-(* The cheap per-window pass: absolute costs off the memo, the sort by
-   (cost, id) that makes [Strategy.dp_inputs]'s cost order the identity,
-   and the signature. Valuations and the market itself are *not* built
-   here — an unchanged window stops after comparing signatures. *)
-let inputs_of t metas qs =
+(* Rebuild the window's market from the frozen calibration: absolute
+   costs off the memo, the flows sorted by (cost, id) — which makes
+   [Strategy.dp_inputs]'s cost order the identity — and valuations
+   tracking the demands (per-flow closed form under CED, global
+   inversion under logit). *)
+let market_of t metas qs =
+  let { spec; alpha; p0; _ } = t.params in
   let calib = ensure_calibrated t metas qs in
   let n = Array.length metas in
   let cost = Array.init n (fun i -> cost_of calib metas.(i) ~q:qs.(i)) in
@@ -205,18 +173,6 @@ let inputs_of t metas qs =
       | c -> c)
     perm;
   let costs = Array.map (fun i -> cost.(i)) perm in
-  let signature =
-    Array.init n (fun p ->
-        let i = perm.(p) in
-        { g_cost = costs.(p); g_q = qs.(i); g_uid = metas.(i).m_id })
-  in
-  (perm, costs, signature)
-
-(* Rebuild the window's market from the frozen calibration: valuations
-   track the demands (per-flow closed form under CED, global inversion
-   under logit) over the flows in [inputs_of]'s (cost, id) order. *)
-let market_of t metas qs perm costs =
-  let { spec; alpha; p0; _ } = t.params in
   let sorted = Array.map (fun i -> flow_of_meta metas.(i) ~mbps:qs.(i)) perm in
   let valuations, k =
     match spec with
@@ -236,194 +192,33 @@ let market_of t metas qs perm costs =
   in
   Market.of_parameters ~spec ~alpha ~p0 ?k ~valuations ~costs sorted
 
-let sig_equal a b =
-  Float.equal a.g_cost b.g_cost
-  && Float.equal a.g_q b.g_q
-  && Int.equal a.g_uid b.g_uid
-
-(* First changed DP position, [n] when nothing changed. Lengths may
-   differ (flow arrivals/departures): the result is then the length of
-   the common clean prefix — the index injection the structural warm
-   start remaps the retained state through. Logit's segment values
-   carry set-wide normalizers (max valuation, min cost) and its global
-   demand inversion moves every valuation on any change, so a
-   partially-clean prefix cannot be trusted there: the choice collapses
-   to all (identical signature) or nothing. *)
-let dirty_from t signature =
-  let n = Array.length signature in
-  let n_old = Array.length t.dp_sig in
-  let m = Stdlib.min n_old n in
-  let d = ref m in
-  (try
-     for p = 0 to m - 1 do
-       if not (sig_equal t.dp_sig.(p) signature.(p)) then begin
-         d := p;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  match t.params.spec with
-  | Market.Ced -> !d
-  | Market.Logit _ -> if n_old = n && !d = n then n else 0
-  | Market.Linear _ -> assert false
-
-let priced market (r : Numerics.Segdp.result) =
-  let order, _, _ = Tiered.Strategy.dp_inputs market in
-  let bundles = Tiered.Bundle.contiguous ~order ~cuts:r.Numerics.Segdp.cuts in
-  let outcome = Tiered.Pricing.evaluate market bundles in
-  {
-    s_cuts = r.Numerics.Segdp.cuts;
-    s_prices = outcome.Tiered.Pricing.bundle_prices;
-    s_profit = outcome.Tiered.Pricing.profit;
-  }
-
-let cache_key t signature =
-  let { spec; alpha; p0; n_bundles; cost_model; _ } = t.params in
-  ( Market.demand_spec_name spec,
-    (match spec with Market.Logit { s0 } -> s0 | _ -> 0.),
-    alpha,
-    p0,
-    n_bundles,
-    Tiered.Cost_model.name cost_model,
-    Tiered.Cost_model.theta cost_model,
-    Array.map (fun g -> (g.g_cost, g.g_q, g.g_uid)) signature )
+let market t snap =
+  let metas, qs, _ = join t snap in
+  if Array.length metas = 0 then None else Some (market_of t metas qs)
 
 let retier t (snap : Window.snapshot) =
   let metas, qs, skipped = join t snap in
   let n = Array.length metas in
   if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
   else begin
-    let perm, costs, signature = inputs_of t metas qs in
-    let solve = ref `Cached in
-    let dirty = ref n in
-    let evals = ref 0 in
-    let fallback = ref false in
-    let do_solve () =
-      (* Drill cadence counts {e actual} solves only: unchanged replays
-         and cache hits post without solving and must not advance it,
-         or the "every Nth solve cold" contract drifts under high
-         unchanged rates. [t.solves] is bumped below, after the replay
-         check. *)
-      let force =
-        t.params.cold_every > 0 && (t.solves + 1) mod t.params.cold_every = 0
-      in
-      let replay =
-        (* Signature-identical window and no drill due: the retained
-           optimum and its pricing still stand verbatim, so skip the
-           market rebuild, the DP replay and the re-pricing outright. *)
-        match (t.dp, t.last) with
-        | Some st, Some s when Numerics.Segdp.state_n st = n && not force ->
-            let d = dirty_from t signature in
-            if d = n then begin
-              dirty := n;
-              Some s
-            end
-            else begin
-              dirty := d;
-              None
-            end
-        | _ -> None
-      in
-      match replay with
-      | Some s ->
-          solve := `Unchanged;
-          evals := 0;
-          fallback := false;
-          s
-      | None ->
-          t.solves <- t.solves + 1;
-          let market = market_of t metas qs perm costs in
-          let _, seg_value, regions = Tiered.Strategy.dp_inputs market in
-          let result, tag =
-            match t.dp with
-            | Some st ->
-                let d = dirty_from t signature in
-                dirty := d;
-                let same_n = Numerics.Segdp.state_n st = n in
-                (* Demand changes can move the clamp boundaries between
-                   windows, so the warm solve always refreshes the
-                   state's region decomposition. Size changes (flow
-                   arrivals/departures) remap the retained state
-                   through the clean-prefix injection instead of
-                   cold-solving. *)
-                let r, how =
-                  if same_n then
-                    Numerics.Segdp.solve_warm ~samples:t.params.samples
-                      ~regions ~force_fallback:force st ~dirty_from:d
-                      seg_value
-                  else
-                    Numerics.Segdp.solve_structural ~samples:t.params.samples
-                      ~regions ~force_fallback:force st ~n ~dirty_from:d
-                      seg_value
-                in
-                let tag =
-                  match how with
-                  | `Warm -> if same_n && d = n then `Unchanged else `Warm
-                  | `Cold -> `Cold
-                in
-                (r, tag)
-            | None ->
-                dirty := 0;
-                let r, st =
-                  Numerics.Segdp.solve_with_state ~samples:t.params.samples
-                    ~regions ~n ~n_bundles:t.params.n_bundles seg_value
-                in
-                t.dp <- Some st;
-                (r, `Cold)
-          in
-          solve := tag;
-          evals := result.Numerics.Segdp.stats.Numerics.Segdp.evaluations;
-          fallback :=
-            force
-            || result.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers > 0;
-          t.dp_sig <- signature;
-          let s = priced market result in
-          t.last <- Some s;
-          s
-    in
-    let s =
-      match t.cache with
-      | Some cache ->
-          Engine.Cache.find_or_add cache ~key:(cache_key t signature) do_solve
-      | None -> do_solve ()
-    in
-    {
-      o_bin = snap.Window.s_bin;
-      o_n_flows = n;
-      o_skipped = skipped;
-      o_cuts = s.s_cuts;
-      o_prices = s.s_prices;
-      o_profit = s.s_profit;
-      o_solve = !solve;
-      o_dirty_from = !dirty;
-      o_evaluations = !evals;
-      o_fallback = !fallback;
-    }
-  end
-
-let solve_cold t (snap : Window.snapshot) =
-  let metas, qs, skipped = join t snap in
-  let n = Array.length metas in
-  if n = 0 then empty_outcome ~bin:snap.Window.s_bin ~skipped
-  else begin
-    let perm, costs, _ = inputs_of t metas qs in
-    let market = market_of t metas qs perm costs in
-    let _, seg_value, regions = Tiered.Strategy.dp_inputs market in
+    let market = market_of t metas qs in
+    let order, seg_value, regions = Tiered.Strategy.dp_inputs market in
     let r =
       Numerics.Segdp.solve ~samples:t.params.samples ~regions ~n
         ~n_bundles:t.params.n_bundles seg_value
     in
-    let s = priced market r in
+    let bundles = Tiered.Bundle.contiguous ~order ~cuts:r.Numerics.Segdp.cuts in
+    let priced = Tiered.Pricing.evaluate market bundles in
     {
       o_bin = snap.Window.s_bin;
       o_n_flows = n;
       o_skipped = skipped;
-      o_cuts = s.s_cuts;
-      o_prices = s.s_prices;
-      o_profit = s.s_profit;
-      o_solve = `Cold;
-      o_dirty_from = 0;
+      o_cuts = r.Numerics.Segdp.cuts;
+      o_prices = priced.Tiered.Pricing.bundle_prices;
+      o_profit = priced.Tiered.Pricing.profit;
       o_evaluations = r.Numerics.Segdp.stats.Numerics.Segdp.evaluations;
       o_fallback = r.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers > 0;
     }
   end
+
+let solve_cold = retier

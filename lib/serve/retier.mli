@@ -1,43 +1,32 @@
-(** Incremental re-tiering: warm-started tier solves per window.
+(** Re-tiering: one tier solve per window on a frozen calibration.
 
-    Posted tiers must be {e cut-for-cut} what a from-scratch solve on
-    the same window would produce; incrementality is purely an
-    optimization. Three layers make that hold (DESIGN.md §12):
+    Every window is solved from scratch — one certified-ladder
+    {!Numerics.Segdp.solve} on the window's rebuilt market — so posted
+    tiers depend only on the calibration and the window's snapshot,
+    never on the windows before it. Three things define them
+    (DESIGN.md §12):
 
     {ol
     {- {b Frozen calibration.} {!Tiered.Market.fit} rescales γ (and the
        cost model's set-wide normalizations) from whatever flows it is
        given, so refitting per window would reprice {e every} flow on
-       any change and kill incrementality. Instead the first non-empty
-       window calibrates once — γ from the fit, relative costs pinned by
+       any demand change. Instead the first non-empty window calibrates
+       once — γ from the fit, relative costs pinned by
        {!Tiered.Cost_model.freeze} — and later windows rebuild the
        market via [Market.of_parameters] with only the valuations
        tracking demand (per-flow closed form under CED; the global
        logit inversion otherwise).}
-    {- {b Positional dirty detection.} Flows are pre-sorted by (absolute
-       cost, flow id), making the DP's cost order the identity; the
-       window's signature is the per-position (cost, valuation, id)
-       triple and [dirty_from] is the first position whose triple
-       changed. Under CED the segment values left of [dirty_from] are
-       bitwise unchanged (prefix sums of per-flow terms), so
-       {!Numerics.Segdp.solve_warm} recomputes only the dirty suffix;
-       when the flow {e set} changes (arrivals/departures), the clean
-       common prefix plays the same role and
-       {!Numerics.Segdp.solve_structural} remaps the retained state
-       through the cost-order index injection instead of cold-solving.
-       Logit's segment values carry set-wide normalizers, so its dirty
-       detection is all-or-nothing: identical signature replays the
-       retained optimum, anything else recomputes in full.}
-    {- {b Verification.} Every warm layer is re-validated by the same
-       spot-check the cold solver runs, with the exact fallback on any
-       trip; [cold_every] additionally forces the divergence drill on a
-       fixed cadence so the fallback path stays exercised in
-       production, not just in tests.}}
+    {- {b (cost, id) presort.} Flows are sorted by (absolute cost, flow
+       id) before the market is built, so the DP's cost order is the
+       identity and ties between equal-cost flows break the same way in
+       every window.}
+    {- {b Per-flow cost memo.} Every cost model prices static flow
+       attributes, never demand, so each flow's frozen absolute cost is
+       computed once and reused by every later window.}}
 
-    Results are optionally memoized in an {!Engine.Cache} keyed by the
-    window signature: a revisited demand pattern posts its tiers
-    without re-solving (the retained DP state is left untouched so
-    dirty detection keeps referring to the last {e solved} window). *)
+    Nothing is carried between windows beyond these: a sliding window
+    moves every flow's rate, so no prefix of the DP stays valid from
+    one window to the next and reusing DP state saves no work. *)
 
 type flow_meta = {
   m_id : int;
@@ -62,12 +51,8 @@ type params = {
   n_bundles : int;
   cost_model : Tiered.Cost_model.t;
   samples : int;  (** Spot-check budget per DP layer (see {!Numerics.Segdp.solve}). *)
-  cold_every : int;
-      (** Force the divergence fallback on every [cold_every]-th
-          {e actual} solve — unchanged replays and cache hits do not
-          advance the cadence. [1] makes every solve cold; [0] disables
-          the drill. *)
-  use_cache : bool;
+  cold_every : int;  (** Ignored. Kept because [perfbench/] builds this record. *)
+  use_cache : bool;  (** Ignored, like [cold_every]. *)
 }
 
 type t
@@ -77,8 +62,8 @@ val create :
   meta_of:(Flowgen.Ipv4.t -> Flowgen.Ipv4.t -> flow_meta option) ->
   t
 (** Raises [Invalid_argument] on [Linear] demand (no parametric rebuild
-    exists for it — see [Market.of_parameters]), [n_bundles < 1],
-    [samples < 0] or [cold_every < 0]. *)
+    exists for it — see [Market.of_parameters]), [n_bundles < 1] or
+    [samples < 0]. *)
 
 type outcome = {
   o_bin : int;  (** Window bin the tiers were posted at. *)
@@ -87,30 +72,22 @@ type outcome = {
   o_cuts : int list;  (** Tier boundaries in cost-order positions. *)
   o_prices : float array;  (** One price per tier. *)
   o_profit : float;
-  o_solve : [ `Warm | `Cold | `Cached | `Unchanged ];
-      (** [`Unchanged]: identical signature, retained optimum replayed.
-          [`Cached]: posted from the result cache without solving.
-          [`Warm] covers both suffix-dirty windows (same flow set) and
-          structural ones (arrivals/departures remapped through
-          {!Numerics.Segdp.solve_structural}). *)
-  o_dirty_from : int;  (** First changed cost-order position ([n_flows]
-                           when nothing changed; [0] on a cold start).
-                           Under flow churn: length of the clean common
-                           prefix of the old and new cost orders. *)
   o_evaluations : int;  (** [seg_value] calls this re-tier. *)
-  o_fallback : bool;  (** Divergence path taken (spot-check or drill). *)
+  o_fallback : bool;  (** A DP layer needed the exact quadratic backstop. *)
 }
 
 val retier : t -> Window.snapshot -> outcome
-(** Solve the window (calibrating on the first non-empty one) and
-    advance the retained state. An empty window posts no tiers and
-    leaves all state untouched. *)
+(** Solve the window, calibrating on the first non-empty one. An empty
+    window posts no tiers and leaves the calibration untouched. *)
+
+val market : t -> Window.snapshot -> Tiered.Market.t option
+(** The market {!retier} solves for the window — flows in (cost, id)
+    order — or [None] for a window with no priceable flows. Calibrates
+    like {!retier} if the instance has not yet seen a non-empty window.
+    The tests and the bench check {!retier} against
+    {!Numerics.Segdp.solve_quadratic} on it. *)
 
 val solve_cold : t -> Window.snapshot -> outcome
-(** Reference from-scratch solve of the same window: identical market
-    construction, fresh {!Numerics.Segdp.solve}, no retained state, no
-    cache. [retier]'s cuts, prices and profit are pinned equal to this
-    by the acceptance tests. Calibrates like {!retier} if the instance
-    has not yet seen a non-empty window. *)
+(** Same as {!retier}. Kept because [perfbench/] calls it. *)
 
 val calibrated : t -> bool

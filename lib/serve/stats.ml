@@ -1,9 +1,5 @@
 type t = {
   mutable retiers : int;
-  mutable warm : int;
-  mutable cold : int;
-  mutable cached : int;
-  mutable unchanged : int;
   mutable fallbacks : int;
   mutable evaluations : int;
   mutable lat : float list;  (* seconds, reverse arrival order *)
@@ -12,35 +8,21 @@ type t = {
 let create () =
   {
     retiers = 0;
-    warm = 0;
-    cold = 0;
-    cached = 0;
-    unchanged = 0;
     fallbacks = 0;
     evaluations = 0;
     lat = [];
   }
 
-let observe t ~solve ~latency_s ~evaluations ~fallback =
+let observe t ~latency_s ~evaluations ~fallback =
   t.retiers <- t.retiers + 1;
-  (match solve with
-  | `Warm -> t.warm <- t.warm + 1
-  | `Cold -> t.cold <- t.cold + 1
-  | `Cached -> t.cached <- t.cached + 1
-  | `Unchanged -> t.unchanged <- t.unchanged + 1);
   if fallback then t.fallbacks <- t.fallbacks + 1;
   t.evaluations <- t.evaluations + evaluations;
   t.lat <- latency_s :: t.lat
 
 type summary = {
   retiers : int;
-  warm : int;
-  cold : int;
-  cached : int;
-  unchanged : int;
   fallbacks : int;
   evaluations : int;
-  warm_hit_rate : float;
   p50_ms : float option;
   p99_ms : float option;
   max_ms : float option;
@@ -63,19 +45,11 @@ let summary t =
   let lat = Array.of_list t.lat in
   Array.sort Float.compare lat;
   let n = Array.length lat in
-  let solves = t.warm + t.unchanged + t.cold in
   let scale = Option.map (fun v -> 1e3 *. v) in
   {
     retiers = t.retiers;
-    warm = t.warm;
-    cold = t.cold;
-    cached = t.cached;
-    unchanged = t.unchanged;
     fallbacks = t.fallbacks;
     evaluations = t.evaluations;
-    warm_hit_rate =
-      (if solves = 0 then 0.
-       else float_of_int (t.warm + t.unchanged) /. float_of_int solves);
     p50_ms = scale (percentile lat ~p:50.);
     p99_ms = scale (percentile lat ~p:99.);
     max_ms = (if n = 0 then None else Some (1e3 *. lat.(n - 1)));
@@ -115,10 +89,7 @@ let report s run =
       [ "malformed packets"; cell_i run.malformed ];
       [ "window occupancy"; Tiered.Report.cell_pct run.occupancy ];
       [ "re-tiers"; cell_i s.retiers ];
-      [ "warm / unchanged / cold"; Printf.sprintf "%d / %d / %d" s.warm s.unchanged s.cold ];
-      [ "cache hits"; cell_i s.cached ];
       [ "fallbacks"; cell_i s.fallbacks ];
-      [ "warm-start hit rate"; Tiered.Report.cell_pct s.warm_hit_rate ];
       [ "re-tier p50 (ms)"; cell_of s.p50_ms ];
       [ "re-tier p99 (ms)"; cell_of s.p99_ms ];
       [ "re-tier max (ms)"; cell_of s.max_ms ];
@@ -132,9 +103,8 @@ let json_of = function None -> "null" | Some v -> Printf.sprintf "%.4f" v
 
 let to_json s run =
   Printf.sprintf
-    {|{"records": %d, "records_per_s": %.1f, "ingest_records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retier_s": %.4f, "retiers": %d, "warm": %d, "cold": %d, "cached": %d, "unchanged": %d, "fallbacks": %d, "evaluations": %d, "warm_hit_rate": %.4f, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
+    {|{"records": %d, "records_per_s": %.1f, "ingest_records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retier_s": %.4f, "retiers": %d, "fallbacks": %d, "evaluations": %d, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
     run.records run.records_per_s (ingest_records_per_s run) run.shards
     (json_oi run.dropped_dup) run.late run.seq_gaps run.malformed
     run.occupancy run.wall_s run.retier_s s.retiers
-    s.warm s.cold s.cached s.unchanged s.fallbacks s.evaluations
-    s.warm_hit_rate (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)
+    s.fallbacks s.evaluations (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)

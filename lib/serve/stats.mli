@@ -1,9 +1,9 @@
-(** Service counters: throughput, re-tier latency, solve outcomes.
+(** Service counters: throughput, re-tier latency, DP work.
 
     The daemon feeds one {!observe} per re-tier; {!summary} reduces to
     the figures the acceptance bench pins — records/s, the re-tier
-    latency histogram (nearest-rank p50/p99) and the warm-start hit
-    rate — renderable as a {!Tiered.Report} table or JSON. Quantities
+    latency histogram (nearest-rank p50/p99) and the DP's segment
+    evaluations and backstop fallbacks — renderable as a {!Tiered.Report} table or JSON. Quantities
     that can be absent rather than zero — quantiles of an empty
     histogram, duplicates when dedup is off — are options and render as
     JSON [null], never a misleading [0]. *)
@@ -14,7 +14,6 @@ val create : unit -> t
 
 val observe :
   t ->
-  solve:[ `Warm | `Cold | `Cached | `Unchanged ] ->
   latency_s:float ->
   evaluations:int ->
   fallback:bool ->
@@ -22,17 +21,9 @@ val observe :
 
 type summary = {
   retiers : int;
-  warm : int;
-  cold : int;
-  cached : int;
-  unchanged : int;
-  fallbacks : int;  (** Re-tiers that went through the divergence path
-                        (spot-check trip or forced drill). *)
+  fallbacks : int;  (** Re-tiers whose DP needed the exact quadratic
+                        backstop on some layer. *)
   evaluations : int;  (** Total [seg_value] evaluations. *)
-  warm_hit_rate : float;
-      (** Solves that reused the retained DP state — [(warm + unchanged)
-          / (warm + unchanged + cold)]; [0] before any solve. Cache hits
-          are excluded (no solve ran). *)
   p50_ms : float option;  (** [None] before any re-tier. *)
   p99_ms : float option;
   max_ms : float option;

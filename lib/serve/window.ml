@@ -173,8 +173,9 @@ let snapshot t =
   (* Accumulate in ring-slot order, not age order: no-decay and diurnal
      weights are functions of the slot alone, so a window holding the
      same per-bin bytes at a different phase (periodic traffic) sums in
-     the same order and produces a bitwise-identical rate — which is
-     what lets the re-tier layer recognize it as unchanged. Exponential
+     the same order and produces a bitwise-identical rate, so a flow's
+     rate — and the tiers posted from it — never depends on where the
+     ring's head sits. Exponential
      decay is genuinely age-dependent, so there the weight (not the
      summation order) varies per window. *)
   let rate cell =
