@@ -1,7 +1,8 @@
 # Convenience wrappers around dune. `make bench-json` regenerates
 # BENCH_sweep.json (serial-vs-parallel timings of the full experiment
-# grid), `make bench-pool` regenerates BENCH_pool.json (per-backend
-# task-dispatch overhead at 1/10/100 ms granularity), and `make
+# grid), `make bench-pool` regenerates BENCH_pool.json (serial,
+# domain-pool and loopback-fleet task-dispatch overhead at 1/10/100 ms
+# granularity), and `make
 # bench-dp` regenerates BENCH_dp.json (tier-DP kernel: certified
 # ladder vs exact quadratic across demand specs and market sizes —
 # the n=50k exact legs make this the slow one; `make bench-dp-smoke`
@@ -9,11 +10,10 @@
 # check), and `make bench-serve` regenerates
 # BENCH_serve.json (streaming daemon, end to end from the wire: a
 # churned multi-day stream is encoded to a binary NetFlow v5/IPFIX
-# file and replayed through the sharded daemon; ingest throughput,
-# re-tier latency and steady-state RSS are recorded, posted windows
-# are checked bitwise against the exact quadratic DP (all of them up
-# to 500 flows, every 12th plus the last above that), and the sharded
-# leg must be bitwise identical to a 1-shard golden run; `make
+# file and replayed through the daemon; ingest throughput, re-tier
+# latency and steady-state RSS are recorded, and posted windows are
+# checked bitwise against the exact quadratic DP (all of them up to
+# 500 flows, every 12th plus the last above that); `make
 # bench-serve-smoke` is the small CI variant) so the
 # perf trajectory accumulates across PRs. `make golden-regen` re-renders every registry
 # experiment and promotes the result into test/golden/ — run it (and
@@ -109,6 +109,8 @@ lint-baseline:
 smoke:
 	dune exec bin/tiered_cli.exe -- run table1 --jobs 2 --metrics
 
+# `--backend procs` is an alias for the loopback TCP fleet
+# (`--backend remote`); this keeps the alias working.
 smoke-procs:
 	dune exec bin/tiered_cli.exe -- run table1 --backend procs --jobs 2 --metrics
 

@@ -9,12 +9,13 @@
    (e.g. fig8) also works.
 
    The experiments section executes on the Engine pool
-   ([--backend=procs] switches it to worker subprocesses); the sweep
-   section times the full grid serial vs parallel, checks the outputs
-   are byte-identical and records the result in BENCH_sweep.json; the
-   pool section sweeps task granularity across the serial / domain /
-   subprocess substrates and records per-task dispatch overhead in
-   BENCH_pool.json (regenerate with `make bench-json`). *)
+   ([--backend=remote] switches it to a loopback worker fleet); the
+   sweep section times the full grid serial vs parallel, checks the
+   outputs are byte-identical and records the result in
+   BENCH_sweep.json; the pool section sweeps task granularity across
+   the serial / domain / fleet substrates and records per-task
+   dispatch overhead in BENCH_pool.json (regenerate with `make
+   bench-pool`). *)
 
 open Tiered
 
@@ -946,15 +947,15 @@ let run_sweep_bench () =
 
 (* Pool-aware micro-benchmark: spin-wait tasks of known duration
    (~1ms / ~10ms / ~100ms) dispatched through each execution substrate
-   (serial fast path, worker domains, worker subprocesses), so the
+   (serial fast path, worker domains, loopback TCP fleet), so the
    per-task dispatch cost of each backend is isolated from real
    workload noise. The headline number is overhead per task:
    (wall - ideal) / tasks, where ideal assumes perfect balance of the
-   spin time over the workers. Subprocess dispatch pays a Marshal
-   round-trip per task, so its overhead floor is the interesting
-   datum: it says how coarse a grid cell must be before --backend
-   procs is free. Results go to BENCH_pool.json. On a single-core
-   host the multi-worker legs are skipped (they would measure
+   spin time over the workers. Fleet dispatch pays a Marshal and
+   socket round-trip per task, so its overhead floor is the
+   interesting datum: it says how coarse a grid cell must be before
+   --backend remote is free. Results go to BENCH_pool.json. On a
+   single-core host the domains leg is skipped (it would measure
    scheduler contention, not dispatch cost). *)
 
 let spin task_s =
@@ -982,33 +983,27 @@ let run_pool_bench () =
   let parallel_jobs = max 2 (Engine.Pool.default_jobs ()) in
   let legs =
     (* The domains leg is meaningless on a host that reports one domain
-       (workers would multiplex on the submitter's core), but the procs
-       and remote legs always run: worker *processes* are scheduled by
-       the OS and reach real cores even when [recommended_domain_count]
-       under-reports. The remote leg spawns 2 loopback TCP workers, so
-       its row prices the socket round-trip on top of the Marshal cost
-       the procs row isolates. *)
+       (workers would multiplex on the submitter's core), but the
+       remote leg always runs: worker *processes* are scheduled by the
+       OS and reach real cores even when [recommended_domain_count]
+       under-reports. It spawns 2 loopback TCP workers. *)
     (("serial", Engine.Pool.Domains, 1)
      ::
      (if host_domains <= 1 then []
       else [ ("domains", Engine.Pool.Domains, parallel_jobs) ]))
-    @ [ ("procs", Engine.Pool.Procs, parallel_jobs);
-        ("remote", Engine.Pool.Remote, 2) ]
+    @ [ ("remote", Engine.Pool.Remote, 2) ]
   in
   let cases =
     List.concat_map
       (fun (label, backend, jobs) ->
         Engine.Pool.with_pool ~backend ~jobs (fun pool ->
-            (* Report the backend actually used: a procs or remote
-               request can degrade to domains on hosts where fork/exec
-               (or loopback sockets) fail. *)
-            let label =
-              if
-                (String.equal label "procs" || String.equal label "remote")
-                && Engine.Pool.backend pool = Engine.Pool.Domains
-              then label ^ "(degraded:domains)"
-              else label
-            in
+            (* A remote request degrades to domains on hosts where
+               exec or loopback sockets fail; its row would then
+               price the wrong backend. *)
+            if Engine.Pool.backend pool <> backend then
+              failwith
+                (Printf.sprintf "pool: the %s leg degraded to %s" label
+                   (Engine.Pool.backend_name (Engine.Pool.backend pool)));
             List.map
               (fun (task_s, tasks) ->
                 (* One warm-up map so worker spawn / first-dispatch costs
@@ -1056,7 +1051,8 @@ let run_pool_bench () =
        ~notes:
          [
            "overhead = (wall - ideal) / tasks with ideal assuming perfect \
-            balance; the procs row prices the per-task Marshal round-trip";
+            balance; the remote row prices the per-task Marshal and \
+            socket round-trip";
          ]);
   Json_out.(
     write ppf "BENCH_pool.json"
@@ -1291,17 +1287,13 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
    suffix, [days] days of duplicated per-router records, with a churn
    cohort of flows absent on odd days so windows see genuine arrivals
    and departures) is encoded to a binary NetFlow v5/IPFIX file, then
-   replayed through the framed reader into the sharded daemon — per-
-   shard streaming dedup + sliding 24h windows, deterministic merge,
-   re-tier every [every_s] stream seconds. Two legs run on the same
-   file: [--serve-shards] shards on a domain pool, and an unsharded
-   golden leg; posted tiers must be bitwise-identical between them.
-   The sharded leg's windows are then checked against the exact
-   quadratic DP on the market each re-tier solved: every window up to
-   500 flows, above that every 12th window plus the last. Any violation
-   fails the bench like a sweep divergence would.
-   BENCH_serve.json records throughput, latency histogram, shard
-   equality, wire counters and steady-state RSS. *)
+   replayed through the framed reader into the daemon — streaming
+   dedup + sliding 24h window, re-tier every [every_s] stream seconds.
+   The posted windows are checked against the exact quadratic DP on
+   the market each re-tier solved: every window up to 500 flows, above
+   that every 12th window plus the last. Any violation fails the bench
+   like a sweep divergence would. BENCH_serve.json records throughput,
+   latency histogram, wire counters and steady-state RSS. *)
 
 let rss_mb () =
   match open_in "/proc/self/status" with
@@ -1323,22 +1315,15 @@ let rss_mb () =
           in
           go ())
 
-let run_serve_bench ~flows ~days ~every_s ~shards () =
+let run_serve_bench ~flows ~days ~every_s () =
   section "Streaming serve: wire ingest throughput and re-tier latency";
   let host_domains = Domain.recommended_domain_count () in
-  (* The multi-shard leg drains shards on a domain pool; on a host that
-     reports a single domain it would only measure multiplexing on the
-     submitter's core, so it is skipped (the golden-equality leg then
-     trivially compares the 1-shard run against itself) and the JSON
-     says why instead of shipping a meaningless speedup. *)
-  let requested_shards = shards in
-  let shards = if host_domains <= 1 then 1 else shards in
   let name = Printf.sprintf "eu_isp@%d" flows in
   let w = Flowgen.Workload.preset name in
   let bin_s = 3600 and bins = 24 in
   let wp = { Serve.Window.bin_s; bins; decay = Serve.Window.No_decay } in
   let n_bundles = 4 in
-  let make_retier () =
+  let retier =
     Serve.Retier.create
       {
         Serve.Retier.spec = Market.Ced;
@@ -1401,34 +1386,24 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
   let wire_bytes = (Unix.stat wire_file).Unix.st_size in
   Format.fprintf ppf "wire file: %d records, %.1f MB@." (List.length stream)
     (float_of_int wire_bytes /. 1e6);
-  let run_leg ~shards ~pool =
-    let shard_state =
-      Serve.Shards.create ~expected:flows ~shards ~dedup:true wp
-    in
-    let retier = make_retier () in
-    let ic = open_in_bin wire_file in
-    let posted = ref [] in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          Serve.Daemon.run
-            ~on_retier:(fun snap o -> posted := (snap, o) :: !posted)
-            ~clock:(Serve.Clock.of_fn Unix.gettimeofday)
-            ?pool ~shards:shard_state ~retier
-            { Serve.Daemon.every_s }
-            (Serve.Ingest.of_reader (Flowgen.Netflow.Wire.of_channel ic)))
-    in
-    (result, List.rev !posted, retier)
+  let ingest_state =
+    Serve.Shards.create ~expected:flows ~shards:1 ~dedup:true wp
   in
-  let result, posted, retier =
-    if shards > 1 then
-      Engine.Pool.with_pool ~jobs:shards (fun pool ->
-          run_leg ~shards ~pool:(Some pool))
-    else run_leg ~shards ~pool:None
+  let ic = open_in_bin wire_file in
+  let posted = ref [] in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        Serve.Daemon.run
+          ~on_retier:(fun snap o -> posted := (snap, o) :: !posted)
+          ~clock:(Serve.Clock.of_fn Unix.gettimeofday)
+          ~shards:ingest_state ~retier
+          { Serve.Daemon.every_s }
+          (Serve.Ingest.of_reader (Flowgen.Netflow.Wire.of_channel ic)))
   in
+  let posted = List.rev !posted in
   let rss = rss_mb () in
-  let result1, posted1, _ = run_leg ~shards:1 ~pool:None in
   Sys.remove wire_file;
   let s = result.Serve.Daemon.r_stats in
   let run = result.Serve.Daemon.r_run in
@@ -1440,13 +1415,6 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
     && Array.for_all2 bits_equal o.Serve.Retier.o_prices
          c.Serve.Retier.o_prices
     && bits_equal o.Serve.Retier.o_profit c.Serve.Retier.o_profit
-  in
-  (* Golden leg: the sharded run's posted tiers must match the 1-shard
-     run's bitwise, window for window. *)
-  let shards_identical =
-    List.length posted = List.length posted1
-    && List.for_all2 (fun (_, o) (_, o1) -> outcome_matches o o1) posted
-         posted1
   in
   (* Reference leg: the exact quadratic DP on the market the re-tier
      solved; its cuts, and the prices and profit [Pricing.evaluate]
@@ -1483,19 +1451,10 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
   let quadratic_identical =
     List.for_all (fun (snap, o) -> quadratic_matches snap o) checked
   in
-  (* Shard speedup: 1-shard ingest wall over the sharded leg's. Only
-     meaningful when the sharded leg actually ran on >1 shard. *)
-  let shard_speedup =
-    if shards > 1 && run.Serve.Stats.wall_s > 0. then
-      Some (result1.Serve.Daemon.r_run.Serve.Stats.wall_s /. run.Serve.Stats.wall_s)
-    else None
-  in
   Report.print ppf (Serve.Stats.report s run);
   Format.fprintf ppf "windows checked against the quadratic DP: %d of %d (%s)@."
     (List.length checked) s.Serve.Stats.retiers
     (if quadratic_identical then "bitwise identical" else "DIVERGED");
-  Format.fprintf ppf "%d-shard vs 1-shard posted tiers: %s@." shards
-    (if shards_identical then "bitwise identical" else "DIVERGED");
   Json_out.(
     write ppf "BENCH_serve.json"
       [
@@ -1507,33 +1466,16 @@ let run_serve_bench ~flows ~days ~every_s ~shards () =
         ("bins", Int bins);
         ("flows", Int result.Serve.Daemon.r_flows);
         ("host_domains", Int host_domains);
-        ("shards", Int shards);
-        ("requested_shards", Int requested_shards);
-        ("shard_speedup", opt (num "%.3f") shard_speedup);
-        ( "shard_note",
-          Str
-            (if shards = requested_shards then
-               "multi-shard leg drained on a domain pool"
-             else
-               "host reports a single domain: multi-shard leg skipped, \
-                speedup not measurable") );
         ("wire_bytes", Int wire_bytes);
         ("seq_gaps", Int run.Serve.Stats.seq_gaps);
         ("malformed", Int run.Serve.Stats.malformed);
         ("rss_mb", opt (num "%.1f") rss);
         ("daemon", Raw (Serve.Stats.to_json s run));
-        ( "daemon_1shard",
-          Raw
-            (Serve.Stats.to_json result1.Serve.Daemon.r_stats
-               result1.Serve.Daemon.r_run) );
         ("windows_checked_quadratic", Int (List.length checked));
         ("quadratic_identical", Bool quadratic_identical);
-        ("shards_identical", Bool shards_identical);
       ]);
   if not quadratic_identical then
-    failwith "serve: posted tiers diverged from the quadratic DP";
-  if not shards_identical then
-    failwith "serve: sharded posted tiers diverged from the 1-shard run"
+    failwith "serve: posted tiers diverged from the quadratic DP"
 
 (* --- micro-benchmarks ----------------------------------------------------- *)
 
@@ -1615,18 +1557,16 @@ let run_micro () =
 (* --- driver ---------------------------------------------------------------- *)
 
 let () =
-  (* Must come first: when this executable is re-invoked as an engine
-     worker subprocess (--backend=procs / the pool section) or a
-     loopback fleet child (the remote leg), serve tasks and exit
-     before any driver logic runs. *)
-  Engine.Proc.maybe_run_worker ();
+  (* Must come first: when this executable is re-invoked as a loopback
+     fleet child (--backend=remote / the pool section's remote leg),
+     serve tasks and exit before any section runs. *)
   Engine.Remote.maybe_run_worker ();
   let raw_args = List.tl (Array.to_list Sys.argv) in
   (* Flags mirror tiered-cli: [--cache] turns on the content-addressed
      disk tier under _cas/, [--cache-max-bytes=N] additionally bounds
-     it (implying [--cache]), [--backend=procs] / [--backend=remote]
-     run the experiments section on worker subprocesses / a loopback
-     TCP fleet. Everything else selects sections or experiment ids. *)
+     it (implying [--cache]), [--backend=remote] runs the experiments
+     section on a loopback TCP fleet. Everything else selects sections
+     or experiment ids. *)
   let cache_max_bytes =
     List.fold_left
       (fun acc a ->
@@ -1670,19 +1610,15 @@ let () =
   let dp_bundles = int_list_flag "--dp-bundles" [ 3; 10 ] in
   let dp_max_exact = int_flag "--dp-max-exact" 50_000 in
   (* serve-section knobs: --serve-flows=N (eu_isp@N), --serve-days=D,
-     --serve-every=S, --serve-shards=K (the CI smoke shrinks the first
-     two; the shard count is still >= 2 there so the golden-equality
-     leg always runs). *)
+     --serve-every=S (the CI smoke shrinks the first two). *)
   let serve_flows = int_flag "--serve-flows" 2_000 in
   let serve_days = int_flag "--serve-days" 6 in
   let serve_every = int_flag "--serve-every" 3_600 in
-  let serve_shards = int_flag "--serve-shards" 2 in
   let use_cache = List.mem "--cache" raw_args || cache_max_bytes <> None in
   if use_cache then
     Engine.Cache.enable_disk ?max_bytes:cache_max_bytes ~dir:"_cas" ();
   let backend =
-    if List.mem "--backend=procs" raw_args then Engine.Pool.Procs
-    else if List.mem "--backend=remote" raw_args then Engine.Pool.Remote
+    if List.mem "--backend=remote" raw_args then Engine.Pool.Remote
     else Engine.Pool.Domains
   in
   let args =
@@ -1707,7 +1643,7 @@ let () =
         ~max_exact:dp_max_exact ();
     if want "serve" then
       run_serve_bench ~flows:serve_flows ~days:serve_days
-        ~every_s:serve_every ~shards:serve_shards ();
+        ~every_s:serve_every ();
     if want "micro" then run_micro ()
   end;
   Format.fprintf ppf "@."

@@ -12,9 +12,10 @@
 
    Grid-shaped commands (run, sweep) execute on the Engine pool:
    --jobs picks the worker count, --backend picks the execution
-   substrate (worker domains in-process, worker subprocesses, or a TCP
-   worker fleet — results are merged in submission order, so any
-   --jobs/--backend combination prints byte-identical output) and
+   substrate (worker domains in-process, or a TCP worker fleet of
+   processes, `procs` being an alias for it — results are merged in
+   submission order, so any --jobs/--backend combination prints
+   byte-identical output) and
    --cache persists calibrated workloads / fitted markets in the
    content-addressed store under _cas/ across invocations. `sweep
    --manifest FILE` additionally records the grid and each completed
@@ -104,18 +105,18 @@ let jobs_arg =
 
 let backend_arg =
   Arg.(value
-       & opt (enum [ ("domains", Engine.Pool.Domains); ("procs", Engine.Pool.Procs);
+       & opt (enum [ ("domains", Engine.Pool.Domains); ("procs", Engine.Pool.Remote);
                      ("remote", Engine.Pool.Remote) ])
            Engine.Pool.Domains
        & info [ "backend" ] ~docv:"B"
            ~doc:"Pool backend: $(b,domains) runs worker domains inside this \
-                 process; $(b,procs) forks worker processes of this \
-                 executable and recovers from worker crashes (requeue on a \
-                 surviving worker, bounded retries, replacement spawn); \
-                 $(b,remote) drives a TCP worker fleet (see $(b,--workers)) \
-                 with the same crash recovery plus work stealing, so a slow \
-                 host does not serialize the tail. Output is byte-identical \
-                 in every case.")
+                 process; $(b,remote) drives a TCP worker fleet of processes \
+                 (see $(b,--workers); by default loopback children of this \
+                 executable) that recovers from worker crashes (requeue on a \
+                 surviving worker, bounded retries, replacement spawn) and \
+                 steals work, so a slow host does not serialize the tail. \
+                 $(b,procs) is an alias for $(b,remote). Output is \
+                 byte-identical in every case.")
 
 let workers_conv =
   let parse s =
@@ -144,19 +145,19 @@ let workers_arg =
 let worker_retries_arg =
   Arg.(value & opt int 2
        & info [ "worker-retries" ] ~docv:"N"
-           ~doc:"With --backend procs or remote: how many times a task whose \
-                 worker died is re-executed before the run fails.")
+           ~doc:"With --backend remote (or its alias procs): how many times a \
+                 task whose worker died is re-executed before the run fails.")
 
 let task_timeout_arg =
   Arg.(value & opt (some float) None
        & info [ "task-timeout" ] ~docv:"SECONDS"
-           ~doc:"With --backend procs or remote: kill and replace a worker \
-                 whose task runs longer than $(docv) (the task is retried \
-                 like a crash). On standalone daemons ($(b,--workers \
+           ~doc:"With --backend remote (or its alias procs): kill and replace \
+                 a worker whose task runs longer than $(docv) (the task is \
+                 retried like a crash). On standalone daemons ($(b,--workers \
                  host:port,…)) this severs the connection but cannot abort \
                  the computation already running on the remote host — the \
                  daemon finishes it, then rejoins the fleet; only \
-                 exec-spawned and $(b,procs) workers are actually killed.")
+                 exec-spawned workers are actually killed.")
 
 let cache_arg =
   Arg.(value & flag
@@ -666,13 +667,6 @@ let serve_cmd =
                    the calibration joins against. Produce such files with \
                    $(b,tiered-cli trace --format wire).")
   in
-  let shards_arg =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Partition ingest (dedup + window state) across $(docv) \
-                   shards drained by a domain pool; posted tiers are \
-                   bitwise-identical at any shard count.")
-  in
   let usage fmt =
     Format.kasprintf
       (fun msg ->
@@ -681,7 +675,7 @@ let serve_cmd =
       fmt
   in
   let run network demand cost theta alpha p0 s0 bundles days seed bin_s bins
-      every decay half_life amplitude peak json from_ shards =
+      every decay half_life amplitude peak json from_ =
     let spec = spec_of ~demand ~s0 in
     (match spec with
     | Market.Linear _ ->
@@ -695,7 +689,6 @@ let serve_cmd =
     if bins < 1 then usage "--bins must be at least 1";
     if every < 1 then usage "--every must be at least 1";
     if bundles < 1 then usage "--bundles must be at least 1";
-    if shards < 1 then usage "--shards must be at least 1";
     (match decay with
     | `Exponential when not (half_life > 0. && Float.is_finite half_life) ->
         usage "--half-life must be a positive number of bins"
@@ -709,10 +702,10 @@ let serve_cmd =
       | `Exponential -> Serve.Window.Exponential { half_life_bins = half_life }
       | `Diurnal -> Serve.Window.Diurnal { amplitude; peak_bin = peak }
     in
-    let shard_state =
+    let ingest_state =
       Serve.Shards.create
         ~expected:(List.length w.Flowgen.Workload.flows)
-        ~shards ~dedup:true
+        ~shards:1 ~dedup:true
         { Serve.Window.bin_s; bins; decay }
     in
     let retier =
@@ -742,17 +735,12 @@ let serve_cmd =
                 fun () -> close_in_noerr ic )
           | exception Sys_error msg -> usage "%s" msg)
     in
-    let run_daemon pool =
+    let result =
       Serve.Daemon.run
         ~clock:(Serve.Clock.of_fn Unix.gettimeofday)
-        ?pool ~shards:shard_state ~retier
+        ~shards:ingest_state ~retier
         { Serve.Daemon.every_s = every }
         ingest
-    in
-    let result =
-      if shards > 1 then
-        Engine.Pool.with_pool ~jobs:shards (fun pool -> run_daemon (Some pool))
-      else run_daemon None
     in
     cleanup ();
     let s = result.Serve.Daemon.r_stats in
@@ -785,7 +773,7 @@ let serve_cmd =
     Term.(const run $ network_arg $ demand_arg $ cost_arg $ theta_arg
           $ alpha_arg $ p0_arg $ s0_arg $ bundles_arg $ days_arg $ seed_arg
           $ bin_arg $ bins_arg $ every_arg $ decay_arg $ half_life_arg
-          $ amplitude_arg $ peak_arg $ json_arg $ from_arg $ shards_arg)
+          $ amplitude_arg $ peak_arg $ json_arg $ from_arg)
 
 (* --- worker -------------------------------------------------------------------- *)
 
@@ -859,11 +847,9 @@ let worker_cmd =
 (* --- main ---------------------------------------------------------------------- *)
 
 let () =
-  (* Must come first: when this executable is re-invoked as an engine
-     worker subprocess (--backend procs) or a loopback fleet child
-     (--backend remote), serve tasks and exit before any CLI parsing
-     happens. *)
-  Engine.Proc.maybe_run_worker ();
+  (* Must come first: when this executable is re-invoked as a loopback
+     fleet child (--backend remote or procs), serve tasks and exit
+     before any CLI parsing happens. *)
   Engine.Remote.maybe_run_worker ();
   let info =
     Cmd.info "tiered-cli" ~version:"1.0.0"

@@ -6,11 +6,10 @@ let catalog =
       id = "D001";
       title = "no stdout writes in lib/";
       rationale =
-        "In a subprocess worker stdout IS the Engine.Proc result pipe; a \
-         stray print corrupts the length-prefixed protocol (the resync \
-         marker in lib/engine/proc.ml exists because exactly this \
-         happened).  Library code renders to buffers/formatters handed in \
-         by the caller; only bin/ and bench/ own stdout.";
+        "Only bin/ and bench/ own stdout: it carries the rendered tables \
+         the goldens pin, so a stray library print lands in them (or, in \
+         a fleet worker whose stdout goes to stderr, vanishes).  Library \
+         code renders to buffers/formatters handed in by the caller.";
     };
     {
       id = "D002";
@@ -37,7 +36,7 @@ let catalog =
       title = "no physical equality in lib/";
       rationale =
         "== / != observe sharing, which depends on cache hits, \
-         marshalling round-trips and backend choice (a procs worker never \
+         marshalling round-trips and backend choice (a fleet worker never \
          shares memory with the parent).  Semantics must not change with \
          the execution plan; structural equality or an explicit mutable \
          token is always available.";
@@ -58,19 +57,19 @@ let catalog =
     };
     {
       id = "H001";
-      title = "no exit in lib/ outside the Engine.Proc worker entry";
+      title = "no exit in lib/ outside the Engine.Remote worker entry";
       rationale =
         "Library code must report failure by raising so the pool can \
          contain, retry and attribute it; calling exit tears down the \
          whole process, skips at_exit-registered flushes and kills \
          sibling domains mid-task.  Only the worker entry in \
-         lib/engine/proc.ml legitimately terminates the process.";
+         lib/engine/remote.ml legitimately terminates the process.";
     };
     {
       id = "H002";
       title = "Marshal.to_* requires a literal flags list at the call site";
       rationale =
-        "Whether Closures (task thunks over the Proc pipe) or not \
+        "Whether Closures (task thunks sent to fleet workers) or not \
          (cache keys must hash structurally) is a load-bearing decision; \
          an opaque flags variable hides it from review.";
     };
@@ -157,10 +156,9 @@ let in_lib file = has_prefix ~prefix:"lib/" file
 let timing_whitelisted file =
   has_prefix ~prefix:"lib/engine/" file || file = "lib/core/runner.ml"
 
-(* H001 / D001-stdout: the worker entry point must terminate the
-   process and re-plumb stdout; everything else in lib/ may not. *)
-let worker_entry file =
-  file = "lib/engine/proc.ml" || file = "lib/engine/remote.ml"
+(* H001: the fleet worker entry point must terminate the process;
+   everything else in lib/ may not. *)
+let worker_entry file = file = "lib/engine/remote.ml"
 
 (* --- ident classification ------------------------------------------------- *)
 
@@ -249,8 +247,8 @@ let check_structure ~file str =
     if lib && List.mem name d001_idents then
       add ~rule:"D001" loc
         (Printf.sprintf
-           "`%s` writes to stdout \xe2\x80\x94 in a Proc worker stdout is the \
-            result pipe; render through a caller-supplied formatter instead"
+           "`%s` writes to stdout \xe2\x80\x94 only bin/ and bench/ own it; \
+            render through a caller-supplied formatter instead"
            name);
     if lib && List.mem name d002_idents then
       add ~rule:"D002" loc

@@ -3,7 +3,7 @@
     Determinism rules (D…) protect the engine's headline guarantee —
     byte-identical experiment output at any jobs count and backend;
     hygiene rules (H…) keep the failure modes that already bit us
-    (stray stdout corrupting the Proc result pipe, unflagged Marshal)
+    (stray stdout writes from library code, unflagged Marshal)
     from recurring.  Rules are scoped by path: most apply only under
     [lib/], with explicit whitelists for the engine's timing and
     process-control sites. *)

@@ -11,7 +11,7 @@ let demand_spec_name = function
    domains may both compute the same array and one write wins, and any
    reader sees either [None] (recompute) or a fully built array. Plain
    mutable options rather than [Lazy.t] so markets stay marshallable
-   with empty flags (the disk cache tier and the procs backend both
+   with empty flags (the disk cache tier and the worker fleet both
    Marshal them). *)
 type memo = {
   mutable pow_valuations : float array option;

@@ -31,9 +31,9 @@ val run_experiments :
 (** Evaluate the experiments' cells on the pool ([jobs] defaults to
     {!Engine.Pool.default_jobs}; [1] is fully serial). [backend]
     selects the execution substrate (default {!Engine.Pool.Domains});
-    [retries] and [timeout_s] tune the {!Engine.Pool.Procs} and
-    {!Engine.Pool.Remote} backends' crash recovery, and [workers] the
-    remote fleet (see {!Engine.Pool.create}). Results are in input
+    [retries] and [timeout_s] tune the {!Engine.Pool.Remote}
+    backend's crash recovery, and [workers] its fleet (see
+    {!Engine.Pool.create}). Results are in input
     order regardless of backend; [wall_s] is the sum of the
     experiment's cell times plus its assembly time. When [metrics] is
     given, per-cell wall times (in submission order, labelled

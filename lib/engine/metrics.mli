@@ -17,7 +17,7 @@ type gc = {
 }
 (** A {!Gc.quick_stat} delta over a run. It covers this process: the
     calling domain and the pool domains that ran and joined inside the
-    measured section, but not fleet or procs worker processes. The
+    measured section, but not fleet worker processes. The
     runtime books a domain's minor words when it empties its minor
     heap, so a run that allocates less than one minor heap can read
     [0]. *)
@@ -27,7 +27,7 @@ type snapshot = {
   jobs : int;
   backend : string;
       (** execution backend identity ({!Pool.backend_name}):
-          ["domains"] or ["procs"] *)
+          ["domains"] or ["remote"] *)
   worker_restarts : int;
       (** worker processes lost and replaced during the run; [0] under
           the domain backend *)
@@ -55,7 +55,7 @@ val set_jobs : t -> int -> unit
 
 val set_backend : t -> string -> unit
 (** Record which pool backend actually ran the grid (use
-    {!Pool.backend_name} on {!Pool.backend} so a degraded [Procs]
+    {!Pool.backend_name} on {!Pool.backend} so a degraded [Remote]
     request reports ["domains"]). Defaults to ["domains"]. *)
 
 val set_worker_restarts : t -> int -> unit

@@ -1,11 +1,8 @@
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 
-type backend = Domains | Procs | Remote
+type backend = Domains | Remote
 
-let backend_name = function
-  | Domains -> "domains"
-  | Procs -> "procs"
-  | Remote -> "remote"
+let backend_name = function Domains -> "domains" | Remote -> "remote"
 
 type t = {
   n_jobs : int;
@@ -22,27 +19,17 @@ type t = {
          fast path. Kept out of [busy] so small maps on a multi-worker
          pool cannot skew the max/mean load-balance statistic towards
          slot 0. Guarded by [mutex]. *)
-  proc : Proc.t option;
-      (* [Some _] when the subprocess backend is active; the domain
-         machinery above is then unused. *)
   remote : Remote.t option;
-      (* [Some _] when the TCP fleet backend is active; mutually
-         exclusive with [proc]. *)
+      (* [Some _] when the TCP fleet backend is active; the domain
+         machinery above is then unused. *)
 }
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 let jobs t = t.n_jobs
-let backend t =
-  match (t.proc, t.remote) with
-  | Some _, _ -> Procs
-  | None, Some _ -> Remote
-  | None, None -> Domains
+let backend t = match t.remote with Some _ -> Remote | None -> Domains
 
 let restarts t =
-  match (t.proc, t.remote) with
-  | Some p, _ -> Proc.restarts p
-  | None, Some r -> Remote.restarts r
-  | None, None -> 0
+  match t.remote with Some r -> Remote.restarts r | None -> 0
 
 let add_busy t idx dt =
   Mutex.lock t.mutex;
@@ -55,10 +42,9 @@ let add_caller_busy t dt =
   Mutex.unlock t.mutex
 
 let busy_times t =
-  match (t.proc, t.remote) with
-  | Some p, _ -> Proc.busy_times p
-  | None, Some r -> Remote.busy_times r
-  | None, None ->
+  match t.remote with
+  | Some r -> Remote.busy_times r
+  | None ->
       Mutex.lock t.mutex;
       (* A pool without worker domains has exactly one execution slot —
          the caller — so report that; a pooled run reports only the
@@ -108,25 +94,9 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
   let n_jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
-  let proc =
-    match backend with
-    | Domains | Remote -> None
-    | Procs -> (
-        match Proc.create ~workers:n_jobs ?retries ?timeout_s () with
-        | p -> Some p
-        | exception exn ->
-            (* Graceful degradation: a host where fork/exec fails (or
-               the executable vanished) still runs, just in-process. *)
-            Printf.eprintf
-              "engine: subprocess backend unavailable (%s); falling back to \
-               the domain backend\n\
-               %!"
-              (Printexc.to_string exn);
-            None)
-  in
   let remote =
     match backend with
-    | Domains | Procs -> None
+    | Domains -> None
     | Remote -> (
         let spec =
           match workers with Some s -> s | None -> Remote.Exec n_jobs
@@ -134,8 +104,8 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
         match Remote.create ?retries ?timeout_s spec with
         | r -> Some r
         | exception exn ->
-            (* Same degradation story as Procs: a host where the fleet
-               cannot come up (no loopback, exec failure, dead remote
+            (* Graceful degradation: a host where the fleet cannot
+               come up (no loopback, exec failure, dead remote
                addresses) still runs, just in-process. *)
             Printf.eprintf
               "engine: remote backend unavailable (%s); falling back to the \
@@ -155,20 +125,14 @@ let create ?(backend = Domains) ?retries ?timeout_s ?jobs ?workers () =
       domains = [];
       busy = Array.make n_jobs 0.;
       caller_busy = 0.;
-      proc;
       remote;
     }
   in
-  (match (proc, remote) with
-  | Some _, _ | _, Some _ -> ()
-  | None, None ->
-      if n_jobs > 1 then
-        t.domains <-
-          List.init n_jobs (fun i -> Domain.spawn (fun () -> worker t i)));
+  if Option.is_none remote && n_jobs > 1 then
+    t.domains <- List.init n_jobs (fun i -> Domain.spawn (fun () -> worker t i));
   t
 
 let shutdown t =
-  (match t.proc with Some p -> Proc.shutdown p | None -> ());
   (match t.remote with Some r -> Remote.shutdown r | None -> ());
   Mutex.lock t.mutex;
   t.stop <- true;
@@ -203,14 +167,12 @@ let collect results =
     results
 
 let map t f tasks =
-  match (t.proc, t.remote) with
-  | Some p, _ ->
-      (* Subprocess backend: Proc merges by task index already; reuse
-         [collect] for the deterministic lowest-index failure report. *)
-      collect (Array.map (fun r -> Some r) (Proc.map p f tasks))
-  | None, Some r ->
+  match t.remote with
+  | Some r ->
+      (* The fleet merges by task index already; reuse [collect] for
+         the deterministic lowest-index failure report. *)
       collect (Array.map (fun res -> Some res) (Remote.map r f tasks))
-  | None, None ->
+  | None ->
       let n = Array.length tasks in
       let results = Array.make n None in
       if t.n_jobs <= 1 || n <= 1 || t.domains = [] then begin

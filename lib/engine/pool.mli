@@ -7,30 +7,25 @@
     order, so parallel output is byte-identical to a serial run —
     callers never observe scheduling order, whatever the backend.
 
-    Three backends:
+    Two backends:
     - {!Domains} (default): worker domains inside this process. At
       [jobs = 1] no domain is spawned and tasks run serially on the
       calling domain (the fallback for single-core hosts and for
       determinism baselines).
-    - {!Procs}: worker {e processes} ({!Proc}): fork/exec of the
-      current executable, tasks shipped as marshalled frames over
-      pipes. Crashing or wedged workers are detected (EOF / per-task
-      timeout), their in-flight task is requeued on a surviving worker
-      with bounded [retries], and the dead worker is replaced with
-      backoff. Requires every entry point to call
-      {!Proc.maybe_run_worker} first; if no worker can be spawned the
-      pool degrades to the domain backend (see {!backend} for the
-      backend actually in use).
-    - {!Remote}: TCP fleet workers ({!Remote}): either loopback
-      children of the current executable ([Remote.Exec], the default
-      when no [workers] spec is given — [jobs] sets the fleet size) or
+    - {!Remote}: worker {e processes} over TCP ({!Remote}): either
+      loopback children of the current executable ([Remote.Exec], the
+      default when no [workers] spec is given — [jobs] sets the fleet
+      size; the CLI's [--backend procs] is an alias for this) or
       out-of-band daemons addressed by [host:port] ([Remote.Addrs],
-      from the CLI's [--workers] list). Same scheduler as {!Procs}
-      (shared {!Transport}): crash recovery, bounded retries, per-task
-      timeouts, work stealing, and a CAS side-channel so workers share
-      artifacts by digest. Requires every entry point to call
-      {!Remote.maybe_run_worker} after {!Proc.maybe_run_worker};
-      degrades to the domain backend when no worker comes up.
+      from the CLI's [--workers] list). Tasks travel as marshalled
+      frames ({!Transport}); crashing or wedged workers are detected
+      (EOF / per-task timeout), their in-flight task is requeued on a
+      surviving worker with bounded [retries], and the dead worker is
+      replaced with backoff. Idle workers steal the tail, and a CAS
+      side-channel lets workers share artifacts by digest. Requires
+      every entry point to call {!Remote.maybe_run_worker} first;
+      degrades to the domain backend when no worker comes up (see
+      {!backend} for the backend actually in use).
 
     [jobs] counts workers. The default is
     [Domain.recommended_domain_count () - 1], reserving one core for
@@ -38,20 +33,20 @@
 
 type t
 
-type backend = Domains | Procs | Remote
+type backend = Domains | Remote
 
 val backend_name : backend -> string
-(** ["domains"] / ["procs"] / ["remote"] — the identity threaded into
-    metrics and CLI output. *)
+(** ["domains"] / ["remote"] — the identity threaded into metrics and
+    CLI output. *)
 
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 (** Raised by {!map} when a task failed. Every task is still attempted
     (the queue keeps draining; a raising task cannot deadlock or poison
     the pool) and the error reported is the one with the lowest task
     index, so the failure surfaced is deterministic. Under the
-    {!Procs} backend [exn] is {!Proc.Remote_failure} (the task raised
-    in a worker — not retried) or {!Proc.Worker_lost} (the worker died
-    and bounded retries were exhausted). *)
+    {!Remote} backend [exn] is {!Remote.Remote_failure} (the task
+    raised in a worker — not retried) or {!Remote.Worker_lost} (the
+    worker died and bounded retries were exhausted). *)
 
 val default_jobs : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]. *)
@@ -66,20 +61,18 @@ val create :
   t
 (** Spawn the workers ([jobs] defaults to {!default_jobs}; values
     [< 1] are clamped to [1]). [backend] defaults to {!Domains}.
-    [retries] (default [2]) and [timeout_s] (default none) only apply
-    to the {!Procs} and {!Remote} backends: how many times a task
-    whose worker died is re-executed, and how long one task may run
-    before its worker is killed and replaced. [workers] only applies
-    to {!Remote} and selects the fleet ([Remote.Exec jobs] when
-    omitted); when it names remote addresses, {!jobs} reports the
-    fleet size. *)
+    [retries] (default [2]), [timeout_s] (default none) and [workers]
+    only apply to the {!Remote} backend: how many times a task whose
+    worker died is re-executed, how long one task may run before its
+    worker is killed and replaced, and which fleet runs the tasks
+    ([Remote.Exec jobs] when omitted); when [workers] names remote
+    addresses, {!jobs} reports the fleet size. *)
 
 val jobs : t -> int
 
 val backend : t -> backend
-(** The backend actually in use — {!Domains} when a {!Procs} or
-    {!Remote} request degraded because no worker could be brought
-    up. *)
+(** The backend actually in use — {!Domains} when a {!Remote} request
+    degraded because no worker could be brought up. *)
 
 val restarts : t -> int
 (** Workers lost and replaced so far ([0] under the domain backend). *)
@@ -99,14 +92,14 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f tasks] runs [f] over every element, in parallel when
     the pool has workers, and returns results in input order. Safe to
     call repeatedly; not re-entrant from inside a worker task. Under
-    the {!Procs} backend tasks must be pure (or idempotent): crash
+    the {!Remote} backend tasks must be pure (or idempotent): crash
     recovery re-executes the in-flight task, i.e. at-least-once
     execution with exactly-once result merging. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val shutdown : t -> unit
-(** Join all workers (reaping worker processes under {!Procs}). The
+(** Join all workers (reaping worker processes under {!Remote}). The
     pool must not be used afterwards. Idempotent. *)
 
 val with_pool :

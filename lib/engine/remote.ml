@@ -2,18 +2,18 @@
 
    This module is only the socket transport: listeners, connects,
    loopback exec launching and child reaping. The frame protocol,
-   handshake/resync, crash recovery, bounded retries, per-task
+   auth and handshake, crash recovery, bounded retries, per-task
    timeouts, work stealing and the CAS side-channel all live in
-   {!Transport}, shared with {!Proc}.
+   {!Transport}.
 
    Two launch modes:
    - [Exec n]: the parent binds an ephemeral loopback listener and
      spawns [n] children of the current executable with
      [--engine-remote-worker=connect:127.0.0.1:<port>]; each child
      connects back and is handshaken over its socket. Crashed workers
-     are respawned the same way. This is the same-host smoke path —
-     process isolation identical to {!Proc}, but exercising the full
-     TCP stack.
+     are respawned the same way. This is the same-host path (and what
+     the CLI's [--backend procs] alias runs): process isolation over
+     the full TCP stack.
    - [Addrs]: workers were started out-of-band ([tiered-cli worker
      --listen PORT], typically via ssh) and the parent connects out to
      each [host:port]. A crashed worker is replaced by one reconnect
@@ -140,8 +140,10 @@ let connect ~timeout_s host port =
 
 (* --- worker side ----------------------------------------------------------- *)
 
-let serve_connection ~token sock =
-  match Transport.serve_worker ~in_fd:sock ~out_fd:sock ~token () with
+let serve_connection ~token ~auth_deadline_s sock =
+  match
+    Transport.serve_worker ~in_fd:sock ~out_fd:sock ~token ~auth_deadline_s ()
+  with
   | () -> ()
   | exception End_of_file -> ()
 
@@ -154,7 +156,7 @@ let serve_forever ?(bind = "127.0.0.1") ?token ~port =
   let token = match token with Some t -> t | None -> env_token () in
   let bind_addr = resolve bind in
   (* Loopback needs no secret (the host boundary is the trust
-     boundary, same as the subprocess backend). Anything wider is
+     boundary, as for the exec-spawned fleet). Anything wider is
      remote code execution for whoever can reach the port, so it is
      double opt-in: an explicit bind address AND a shared token — and
      even then the port belongs on a trusted/firewalled network. *)
@@ -189,11 +191,16 @@ let serve_forever ?(bind = "127.0.0.1") ?token ~port =
     in
     Printf.eprintf "engine remote worker: serving %s\n%!" peer_name;
     set_nodelay sock;
-    (match serve_connection ~token sock with
+    (* A real parent sends its auth preamble right after connecting.
+       Connections are served one at a time, so a peer that connects
+       and stays silent is dropped after 2 s, well inside a parent's
+       10 s handshake budget; otherwise it would wedge every parent
+       queued behind it. *)
+    (match serve_connection ~token ~auth_deadline_s:2.0 sock with
     | () -> ()
     | exception Transport.Auth_failure ->
         Printf.eprintf
-          "engine remote worker: rejected %s (bad or missing shared secret)\n%!"
+          "engine remote worker: rejected %s (bad, missing or late shared secret)\n%!"
           peer_name
     | exception exn ->
         Printf.eprintf "engine remote worker: connection to %s failed: %s\n%!"
@@ -235,7 +242,9 @@ let run_directive directive =
       let sock = connect ~timeout_s:10.0 host port in
       Fun.protect
         ~finally:(fun () -> Transport.close_noerr sock)
-        (fun () -> serve_connection ~token:(env_token ()) sock)
+        (fun () ->
+          (* The parent writes the preamble as soon as it accepts us. *)
+          serve_connection ~token:(env_token ()) ~auth_deadline_s:10.0 sock)
   | None, Some port -> (
       match int_of_string_opt port with
       | Some p when p >= 1 && p <= 65535 ->
@@ -333,9 +342,9 @@ let spawn_exec_child ~port ~token =
   let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   match
     (* stdout → stderr: init-time noise from the host executable must
-       not land on the parent's stdout (the golden tables) — and unlike
-       a pipe worker, the protocol channel here is the socket, so the
-       child's fd 1 carries nothing we need. *)
+       not land on the parent's stdout (the golden tables); the
+       protocol channel is the socket, so the child's fd 1 carries
+       nothing we need. *)
     Unix.create_process_env exe [| exe; arg |] env null Unix.stderr Unix.stderr
   with
   | exception exn ->

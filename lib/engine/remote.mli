@@ -7,21 +7,21 @@
       spawns [n] children of the current executable, each re-entered
       through the hidden [--engine-remote-worker=connect:…] argv
       directive; they dial back and are handshaken over their socket.
-      Process isolation identical to {!Proc}, plus the full TCP stack:
-      this is what [--backend remote] without [--workers] and the CI
-      smoke use.
+      Each task runs in a separate process, so a crashing or wedged
+      worker costs one retry, not the run: this is what
+      [--backend remote] without [--workers], its [--backend procs]
+      alias and the CI smoke use.
     - [Addrs [(host, port); …]] — workers were started out-of-band
       with [tiered-cli worker --listen PORT] (typically via ssh) and
       the parent connects out to each address. A crashed worker is
       replaced by one reconnect attempt to the same address.
 
-    Everything above the sockets — framing, handshake/resync, crash
+    Everything above the sockets — framing, auth and handshake, crash
     recovery with bounded retries, per-task timeouts, work stealing,
     local draining, and the CAS side-channel through which workers
-    fetch/publish artifacts by digest — is {!Transport}, shared with
-    the subprocess backend, so the two backends have identical task
-    semantics (at-least-once execution, exactly-once result merging in
-    submission order, byte-identical rendered output).
+    fetch/publish artifacts by digest — is {!Transport}. Task
+    semantics: at-least-once execution, exactly-once result merging
+    in submission order, byte-identical rendered output.
 
     {b Trust model.} Task frames are marshalled closures: speaking the
     protocol {e is} arbitrary code execution in the worker. Every TCP
@@ -35,16 +35,15 @@
     encrypt: run workers on trusted/firewalled networks only.
 
     Every entry point that may drive a remote pool must call
-    {!maybe_run_worker} first in [main] (right after
-    {!Proc.maybe_run_worker}). *)
+    {!maybe_run_worker} first in [main]. *)
 
 type t
 
 exception Spawn_failure of string
 exception Remote_failure of { message : string }
 exception Worker_lost of { attempts : int; reason : string }
-(** Aliases of {!Transport}'s exceptions (and therefore of {!Proc}'s):
-    matching on any of the three modules' constructors works. *)
+(** Aliases of {!Transport}'s exceptions: matching on either module's
+    constructors works. *)
 
 type spec = Exec of int | Addrs of (string * int) list
 
@@ -82,7 +81,9 @@ val serve_forever : ?bind:string -> ?token:string -> port:int -> 'a
     ["127.0.0.1"]; pass an interface address or ["0.0.0.0"] to opt in
     to external connections) and serve one parent connection at a
     time, forever — each connection must present [token] (default: the
-    {!token_env} variable) before anything is unmarshalled; each
+    {!token_env} variable) within a few seconds, before anything is
+    unmarshalled, or it is dropped so a silent peer cannot hold the
+    daemon; each
     re-applies the parent's disk-cache configuration, and in-memory
     artifact caches stay warm across connections (the schema stamp
     guards staleness). Raises [Failure] when [bind] is not loopback

@@ -10,10 +10,10 @@
         same executable image, which the unmarshaller checks against
         the code-segment digest) and CAS-fetch replies.
    Frames from worker to parent:
-     1. a magic byte-string, then one "ready" handshake frame (this is
-        also how spawn/connect failures are detected: a peer that dies
-        before the handshake reads as EOF and the transport reports
-        Spawn_failure);
+     1. a magic byte-string, then one "ready" handshake frame carrying
+        the shared token back (this is also how spawn/connect failures
+        are detected: a peer that dies before the handshake reads as
+        EOF and the transport reports Spawn_failure);
      2. [up] frames: task results ([(index, (Ok value | Error
         (printed_exn, bt)))]) and CAS traffic ([Cas_get] blocks the
         worker until the parent's reply; [Cas_put] is fire-and-forget).
@@ -25,17 +25,18 @@
    [Cas_get], and the worker-side blocking read in the fetch hook
    cannot swallow a task.
 
-   The magic resynchronizes the stream: module initializers of the
-   host executable run before the worker entry point and may print to
-   stdout — which, in a pipe worker, IS the result channel
-   (qcheck-alcotest's seed banner does exactly this). The parent
-   discards bytes until the magic, after which the worker has
-   redirected fd 1 away and owns the stream exclusively.
+   The protocol channel is a socket the worker owns alone (its stdout
+   is not part of it), so the stream needs no resynchronization: the
+   magic must be the very first bytes the parent reads, and anything
+   else is not a worker of this executable. Every handshake read runs
+   under one deadline, so a peer that sends a few bytes and stalls is
+   dropped, not waited on; the worker bounds the parent's preamble the
+   same way.
 
-   Crash detection needs no SIGCHLD handler: a dead worker's result
-   channel reads EOF (or the task channel writes EPIPE), which is both
-   prompt and race-free under [select]; process-backed endpoints reap
-   the corpse with [waitpid] in their close hook. *)
+   Crash detection needs no SIGCHLD handler: a dead worker's channel
+   reads EOF (or writes EPIPE), which is both prompt and race-free
+   under [select]; process-backed endpoints reap the corpse with
+   [waitpid] in their close hook. *)
 
 exception Spawn_failure of string
 exception Remote_failure of { message : string }
@@ -62,9 +63,21 @@ let write_all fd buf pos len =
     len := !len - n
   done
 
-let read_all fd buf pos len =
+(* With [deadline] (absolute, for the handshake and the auth preamble)
+   every read waits in [select] for what is left of it, so a peer that
+   sends a few bytes and stalls cannot stretch the wait; raises
+   [Failure "timed out"] there. *)
+let read_all ?deadline fd buf pos len =
   let pos = ref pos and len = ref len in
   while !len > 0 do
+    (match deadline with
+    | None -> ()
+    | Some deadline -> (
+        let remaining = deadline -. now () in
+        if remaining <= 0. then failwith "timed out";
+        match restart_on_intr (fun () -> Unix.select [ fd ] [] [] remaining) with
+        | [], _, _ -> failwith "timed out"
+        | _ -> ()));
     let n = restart_on_intr (fun () -> Unix.read fd buf !pos !len) in
     if n = 0 then raise End_of_file;
     pos := !pos + n;
@@ -98,25 +111,23 @@ let read_frame fd =
   read_all fd buf 0 len;
   Bytes.unsafe_to_string buf
 
-(* Stream-resync marker the worker emits before its first frame (see
-   the header comment). '\001' appears only at position 0, so the
-   parent's rolling scan needs no failure table: on mismatch it
-   restarts the match at 1 iff the offending byte is '\001'. *)
+(* Marker the worker emits before its ready frame (see the header
+   comment): the first bytes of every worker stream. *)
 let magic = "\001\253tiered-engine-worker\253\002"
 
 (* --- shared-secret auth ----------------------------------------------------- *)
 
 (* Task frames carry [Marshal.Closures] payloads, i.e. whoever can
    speak the protocol gets arbitrary code execution in the worker. A
-   pipe worker inherits its fds and needs no secret (the channel is
-   private by construction), but a TCP worker must authenticate its
-   parent before unmarshalling a single byte: the parent's very first
-   frame is the shared token, raw bytes, never [Marshal]ed, compared in
-   constant time under its own small length cap so an unauthenticated
-   peer can neither probe the comparison nor force a big allocation.
-   The worker proves knowledge of the same token back by folding it
-   into the ready frame, which {!handshake} checks — so a parent also
-   cannot be fed results by an impostor that guessed the port. *)
+   worker must therefore authenticate its parent before unmarshalling
+   a single byte: the parent's very first frame is the shared token,
+   raw bytes, never [Marshal]ed, compared in constant time under its
+   own small length cap and a deadline, so an unauthenticated peer can
+   neither probe the comparison, force a big allocation, nor hold the
+   worker by staying silent. The worker proves knowledge of the same
+   token back by folding it into the ready frame, which {!handshake}
+   checks — so a parent also cannot be fed results by an impostor that
+   guessed the port. *)
 
 let max_auth_bytes = 4096
 
@@ -129,15 +140,15 @@ let const_time_equal a b =
 
 let write_auth fd ~token = write_frame fd token
 
-let read_auth fd ~expect =
-  let hdr = Bytes.create 4 in
-  read_all fd hdr 0 4;
-  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+let read_auth fd ~deadline ~expect =
+  let read len =
+    let buf = Bytes.create len in
+    (try read_all ~deadline fd buf 0 len with Failure _ -> raise Auth_failure);
+    Bytes.unsafe_to_string buf
+  in
+  let len = Int32.to_int (String.get_int32_be (read 4) 0) in
   if len < 0 || len > max_auth_bytes then raise Auth_failure;
-  let buf = Bytes.create len in
-  read_all fd buf 0 len;
-  if not (const_time_equal (Bytes.unsafe_to_string buf) expect) then
-    raise Auth_failure
+  if not (const_time_equal (read len) expect) then raise Auth_failure
 
 (* --- wire frames ----------------------------------------------------------- *)
 
@@ -194,11 +205,11 @@ let reap_with_grace pid =
 
 (* --- worker side ----------------------------------------------------------- *)
 
-let serve_worker ~in_fd ~out_fd ?(token = "") () =
+let serve_worker ~in_fd ~out_fd ~token ~auth_deadline_s () =
   (* Authenticate the parent before trusting anything on the stream:
      every later frame is unmarshalled, and task frames carry
      closures. *)
-  read_auth in_fd ~expect:token;
+  read_auth in_fd ~deadline:(now () +. auth_deadline_s) ~expect:token;
   let config : worker_config = Marshal.from_string (read_frame in_fd) 0 in
   (match config.disk_dir with
   | Some dir -> Cache.enable_disk ?max_bytes:config.disk_max ~dir ()
@@ -273,40 +284,26 @@ let serve_worker ~in_fd ~out_fd ?(token = "") () =
 
 (* --- parent-side handshake ------------------------------------------------- *)
 
-let handshake ~deadline_s ?(token = "") fd =
+let handshake ~deadline_s ~token fd =
   (* The handshake doubles as the spawn-failure detector: a peer that
-     could not exec (or crashed in init) reads as EOF. Before the
-     handshake frame the peer's stdout may carry arbitrary init-time
-     noise (e.g. a test harness's seed banner), so scan byte-by-byte
-     until the magic marker. *)
+     could not exec (or crashed in init) reads as EOF, and one that
+     stalls runs into the deadline. *)
   let deadline = now () +. deadline_s in
-  let wait_readable () =
-    let remaining = deadline -. now () in
-    if remaining <= 0. then failwith "worker handshake timed out";
-    match restart_on_intr (fun () -> Unix.select [ fd ] [] [] remaining) with
-    | [], _, _ -> failwith "worker handshake timed out"
-    | _ -> ()
+  let read len =
+    let buf = Bytes.create len in
+    (try read_all ~deadline fd buf 0 len
+     with Failure _ -> failwith "worker handshake timed out");
+    Bytes.unsafe_to_string buf
   in
-  let byte = Bytes.create 1 in
-  let mlen = String.length magic in
-  let rec scan matched =
-    if matched < mlen then begin
-      wait_readable ();
-      if restart_on_intr (fun () -> Unix.read fd byte 0 1) = 0 then
-        raise End_of_file;
-      let c = Bytes.get byte 0 in
-      if Char.equal c magic.[matched] then scan (matched + 1)
-      else scan (if Char.equal c magic.[0] then 1 else 0)
-    end
-  in
-  scan 0;
-  wait_readable ();
-  let r = read_frame fd in
+  let bad () = failwith "bad worker handshake" in
+  if not (String.equal (read (String.length magic)) magic) then bad ();
   (* The worker folds the shared token into its ready frame, proving it
      read (and accepted) the parent's auth preamble — mutual auth for
      free, and what rejects an impostor squatting on a worker's port. *)
-  if not (const_time_equal r ("ready" ^ token)) then
-    failwith "bad worker handshake"
+  let ready = "ready" ^ token in
+  let len = Int32.to_int (String.get_int32_be (read 4) 0) in
+  if len <> String.length ready || not (const_time_equal (read len) ready) then
+    bad ()
 
 (* --- parent-side artifact store -------------------------------------------- *)
 

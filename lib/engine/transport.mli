@@ -1,17 +1,17 @@
-(** Shared worker-transport machinery: one scheduler, many transports.
+(** Worker-transport machinery: the scheduler under {!Remote}'s TCP
+    fleet.
 
-    {!Proc} (pipe-connected subprocesses) and {!Remote} (TCP-connected
-    fleet workers) both run tasks through this module. A transport
-    contributes {e endpoints} — connected, handshaken workers wrapped
-    in an {!endpoint} record — and a respawn hook; the scheduler owns
-    everything else: length-prefixed frame IO, the handshake/resync
-    magic, crash detection and bounded-retry requeue, per-task
-    timeouts, work stealing (speculative tail duplication: idle
-    workers re-run the oldest in-flight task once the queue drains, so
-    one slow host cannot serialize the tail; first result wins and
-    merging stays exactly-once), local draining when every worker is
-    gone, and the CAS side-channel that lets workers fetch and publish
-    artifacts by digest over their task connection.
+    {!Remote} contributes {e endpoints} — connected, handshaken
+    workers wrapped in an {!endpoint} record — and a respawn hook; the
+    scheduler owns everything else: length-prefixed frame IO, the
+    deadline-bounded auth and handshake, crash detection and
+    bounded-retry requeue, per-task timeouts, work stealing
+    (speculative tail duplication: idle workers re-run the oldest
+    in-flight task once the queue drains, so one slow host cannot
+    serialize the tail; first result wins and merging stays
+    exactly-once), local draining when every worker is gone, and the
+    CAS side-channel that lets workers fetch and publish artifacts by
+    digest over their task connection.
 
     Tasks must be pure (or idempotent): crash recovery and stealing
     both re-execute tasks, i.e. the scheduler provides at-least-once
@@ -40,8 +40,8 @@ exception Frame_too_large of { bytes : int }
     fails with this in its result slot, without blaming the worker. *)
 
 exception Auth_failure
-(** The peer's shared-secret preamble was missing, oversize, or did not
-    match the expected token. Raised by {!serve_worker} before any
+(** The peer's shared-secret preamble was missing, late, oversize, or
+    did not match the expected token. Raised by {!serve_worker} before any
     frame is unmarshalled — task frames carry closures, so an
     unauthenticated peer must never get that far. *)
 
@@ -64,19 +64,20 @@ val read_frame : Unix.file_descr -> string
 val max_frame_bytes : int
 
 val magic : string
-(** Stream-resync marker a worker emits before its first frame, so
-    init-time stdout noise ahead of it is discarded by the parent. *)
+(** The first bytes of every worker stream, ahead of the ready frame;
+    {!handshake} rejects a peer whose stream starts with anything
+    else. *)
 
 (** {1 Shared-secret auth}
 
     Task frames are [Marshal.Closures] payloads — speaking the protocol
-    is arbitrary code execution in the peer. Pipe workers inherit
-    private fds and use the empty token; TCP workers must be driven
+    is arbitrary code execution in the peer. Workers must be driven
     with a non-empty shared secret whenever they listen beyond
-    loopback. The parent's first bytes on a fresh connection are the
-    token (raw, never marshalled, compared in constant time under a
-    small length cap); the worker folds the same token into its ready
-    frame, so {!handshake} authenticates the worker back. *)
+    loopback (loopback daemons may use the empty token). The parent's
+    first bytes on a fresh connection are the token (raw, never
+    marshalled, compared in constant time under a small length cap and
+    a deadline); the worker folds the same token into its ready frame,
+    so {!handshake} authenticates the worker back. *)
 
 val write_auth : Unix.file_descr -> token:string -> unit
 (** Send the auth preamble. Always the first write on a connection,
@@ -107,25 +108,31 @@ type up =
       (** [(cache, key_digest, payload)]: fire-and-forget publish *)
 
 val serve_worker :
-  in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> ?token:string -> unit -> unit
+  in_fd:Unix.file_descr ->
+  out_fd:Unix.file_descr ->
+  token:string ->
+  auth_deadline_s:float ->
+  unit ->
+  unit
 (** Run the worker side of the protocol on an established channel:
-    verify the parent's auth preamble against [token] (default [""];
-    raises {!Auth_failure} on mismatch, before unmarshalling anything),
-    read the config frame, configure the disk cache, install the
-    {!Cache.remote_tier} hook that forwards cache misses to the parent
-    as [Cas_get]/[Cas_put] frames, emit [magic] + the ready frame,
-    then serve task frames until EOF (returns normally; the caller
-    decides the exit). The remote-tier hook is uninstalled on the way
-    out. Callers must route stray stdout away from [out_fd] first when
-    the channel is the process's fd 1. *)
+    verify the parent's auth preamble against [token] (raises
+    {!Auth_failure} on mismatch, or when the preamble has not fully
+    arrived within [auth_deadline_s] seconds, before unmarshalling
+    anything), read the config frame, configure the disk cache,
+    install the {!Cache.remote_tier} hook that forwards cache misses
+    to the parent as [Cas_get]/[Cas_put] frames, emit [magic] + the
+    ready frame, then serve task frames until EOF (returns normally;
+    the caller decides the exit). The remote-tier hook is uninstalled
+    on the way out. *)
 
 (** {1 Parent side} *)
 
-val handshake : deadline_s:float -> ?token:string -> Unix.file_descr -> unit
-(** Scan for [magic] (discarding init noise byte-by-byte) and read the
-    ready frame — which must carry [token] (default [""]) back — all
-    under a deadline. Raises [Failure] or [End_of_file] when the peer
-    is not a live worker holding the same secret. *)
+val handshake : deadline_s:float -> token:string -> Unix.file_descr -> unit
+(** Read exactly [magic], then the ready frame — which must carry
+    [token] back — with every read under one [deadline_s] budget.
+    Raises [Failure] or [End_of_file] when the peer is not a live
+    worker holding the same secret, sends anything else first, or
+    stalls past the deadline. *)
 
 type endpoint = {
   ep_send : Unix.file_descr;  (** parent writes down-frames *)
@@ -193,7 +200,7 @@ val store : sched -> Store.t
 (** The scheduler's artifact store — exposed so callers (and tests)
     can pre-seed artifacts workers will fetch by digest. *)
 
-(** {1 Process helpers shared by transports} *)
+(** {1 Process helpers for endpoints} *)
 
 val close_noerr : Unix.file_descr -> unit
 val kill_noerr : int -> unit

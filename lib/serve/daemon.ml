@@ -7,7 +7,7 @@ type run_result = {
   r_flows : int;
 }
 
-let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
+let run ?on_retier ~clock ~shards ~retier params ingest =
   if params.every_s < 1 then invalid_arg "Serve.Daemon: every_s < 1";
   let wp = Shards.window_params shards in
   let span_s = wp.Window.bins * wp.Window.bin_s in
@@ -17,13 +17,13 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
   let occupancy = ref 0. in
   let retier_s = ref 0. in
   let t0 = Clock.now clock in
-  (* Re-tier covering all stream time < [at]: advance every shard to
+  (* Re-tier covering all stream time < [at]: advance the window to
      the bin containing [at - 1] (records at [at] and beyond have not
      been ingested yet), retire dedup keys the window can no longer
-     hold, merge and solve. *)
+     hold, and solve. *)
   let retier_at at =
     let bin = Window.bin_of_time wp (float_of_int (at - 1)) in
-    let snap = Shards.snapshot ?pool shards ~bin ~retire_s:(at - span_s) in
+    let snap = Shards.snapshot shards ~bin ~retire_s:(at - span_s) in
     occupancy := snap.Window.s_occupancy;
     let t_solve = Clock.now clock in
     let o = Retier.retier retier snap in
@@ -68,7 +68,6 @@ let run ?on_retier ~clock ?pool ~shards ~retier params ingest =
       late = Shards.late shards;
       seq_gaps;
       malformed;
-      shards = Shards.shards shards;
       occupancy = !occupancy;
       wall_s;
       records_per_s =

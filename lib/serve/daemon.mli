@@ -1,14 +1,12 @@
-(** The serve loop: ingest, shard, dedup, window, re-tier on a cadence.
+(** The serve loop: ingest, dedup, window, re-tier on a cadence.
 
     Records stream in nondecreasing [first_s] (the {!Ingest} contract)
-    onto per-prefix {!Shards} — each shard owns a streaming dedup table
-    and a sliding {!Window} ring — and every [every_s] seconds of
-    {e stream} time the daemon drains the shards (in parallel when
-    given a pool), merges their snapshots deterministically and posts
-    re-tiered prices through {!Retier}. Wall time only feeds the stats
-    (throughput, re-tier latency) via the injected {!Clock} — stream
-    time alone drives behavior, so runs are deterministic under any
-    clock, pool, or shard count. *)
+    into the {!Shards} ingest state — a streaming dedup table and a
+    sliding {!Window} ring — and every [every_s] seconds of {e stream}
+    time the daemon snapshots the window and posts re-tiered prices
+    through {!Retier}. Wall time only feeds the stats (throughput,
+    re-tier latency) via the injected {!Clock} — stream time alone
+    drives behavior, so runs are deterministic under any clock. *)
 
 type params = { every_s : int  (** Re-tier cadence in stream seconds. *) }
 
@@ -22,7 +20,6 @@ type run_result = {
 val run :
   ?on_retier:(Window.snapshot -> Retier.outcome -> unit) ->
   clock:Clock.t ->
-  ?pool:Engine.Pool.t ->
   shards:Shards.t ->
   retier:Retier.t ->
   params ->
@@ -31,9 +28,7 @@ val run :
 (** Re-tier deadlines sit on the [every_s] grid anchored at the first
     record's [first_s]; a gap spanning several deadlines fires each one
     in turn (catch-up), and one final re-tier always covers the stream
-    tail. At every deadline each shard retires dedup keys older than
-    the window. [pool] (Domains backend) parallelizes the per-shard
-    drains; posted tiers are bitwise-identical with or without it.
-    Wire streams contribute their sequence-gap and malformed-packet
+    tail. At every deadline dedup keys older than the window are
+    retired. Wire streams contribute their sequence-gap and malformed-packet
     counters to the run record. Raises [Invalid_argument] when
     [every_s < 1]. *)

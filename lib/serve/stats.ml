@@ -61,7 +61,6 @@ type run = {
   late : int;
   seq_gaps : int;
   malformed : int;
-  shards : int;
   occupancy : float;
   wall_s : float;
   records_per_s : float;
@@ -82,7 +81,6 @@ let report s run =
       [ "records ingested"; cell_i run.records ];
       [ "records/s"; Tiered.Report.cell_f run.records_per_s ];
       [ "ingest records/s"; Tiered.Report.cell_f (ingest_records_per_s run) ];
-      [ "ingest shards"; cell_i run.shards ];
       [ "duplicates dropped"; cell_oi run.dropped_dup ];
       [ "late drops"; cell_i run.late ];
       [ "sequence gaps"; cell_i run.seq_gaps ];
@@ -103,8 +101,8 @@ let json_of = function None -> "null" | Some v -> Printf.sprintf "%.4f" v
 
 let to_json s run =
   Printf.sprintf
-    {|{"records": %d, "records_per_s": %.1f, "ingest_records_per_s": %.1f, "shards": %d, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retier_s": %.4f, "retiers": %d, "fallbacks": %d, "evaluations": %d, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
-    run.records run.records_per_s (ingest_records_per_s run) run.shards
+    {|{"records": %d, "records_per_s": %.1f, "ingest_records_per_s": %.1f, "dropped_dup": %s, "late": %d, "seq_gaps": %d, "malformed": %d, "occupancy": %.4f, "wall_s": %.4f, "retier_s": %.4f, "retiers": %d, "fallbacks": %d, "evaluations": %d, "p50_retier_ms": %s, "p99_retier_ms": %s, "max_retier_ms": %s}|}
+    run.records run.records_per_s (ingest_records_per_s run)
     (json_oi run.dropped_dup) run.late run.seq_gaps run.malformed
     run.occupancy run.wall_s run.retier_s s.retiers
     s.fallbacks s.evaluations (json_of s.p50_ms) (json_of s.p99_ms) (json_of s.max_ms)

@@ -42,13 +42,12 @@ type run = {
   late : int;
   seq_gaps : int;  (** Wire sequence gaps; [0] for generator streams. *)
   malformed : int;  (** Malformed wire packets/records; likewise. *)
-  shards : int;
   occupancy : float;  (** Final window occupancy. *)
   wall_s : float;
   records_per_s : float;  (** [records / wall_s]: re-tier time included. *)
   retier_s : float;
       (** Summed wall time of the re-tier calls, from the injected
-          clock (the shard snapshot before each one counts as ingest). *)
+          clock (the window snapshot before each one counts as ingest). *)
 }
 
 val ingest_records_per_s : run -> float

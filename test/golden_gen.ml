@@ -14,10 +14,9 @@ let render_one id =
     (Tiered.Runner.run_experiments ~jobs:1 [ Tiered.Experiment.find id ])
 
 let () =
-  (* Serve engine worker tasks first if re-invoked as a subprocess
-     worker (never happens under the @golden alias, but keeps the
-     binary safe to run with --backend-style harnesses). *)
-  Engine.Proc.maybe_run_worker ();
+  (* Serve fleet worker tasks first if re-invoked as a worker (never
+     happens under the @golden alias, but keeps the binary safe to run
+     with --backend-style harnesses). *)
   Engine.Remote.maybe_run_worker ();
   match Array.to_list Sys.argv with
   | [ _; "--one"; id ] -> print_string (render_one id)

@@ -550,144 +550,6 @@ let test_caller_slot_not_worker_zero () =
       Alcotest.(check int) "single caller slot" 1 (Array.length busy);
       Alcotest.(check bool) "caller time booked" true (busy.(0) > 0.))
 
-(* --- subprocess backend ---------------------------------------------------- *)
-
-(* The procs tests require the backend to actually come up (this test
-   binary re-invokes itself with --engine-worker; Test_main calls
-   Proc.maybe_run_worker first). A degraded pool would make the
-   self-kill tasks below kill the test process, so assert loudly. *)
-let require_procs pool =
-  if Engine.Pool.backend pool <> Engine.Pool.Procs then
-    Alcotest.fail
-      "subprocess backend unavailable (spawn failed); cannot run this test"
-
-(* (k) Byte-identity across substrates: the same grid rendered through
-   worker subprocesses equals the serial rendering exactly. *)
-let test_proc_backend_identical () =
-  let grid = List.map Experiment.find [ "table1"; "fig8" ] in
-  let serial = Runner.render (Runner.run_experiments ~jobs:1 grid) in
-  let procs =
-    Runner.render
-      (Runner.run_experiments ~backend:Engine.Pool.Procs ~jobs:2 grid)
-  in
-  Alcotest.(check string) "procs rendering byte-identical" serial procs
-
-(* (l) Fault injection: SIGKILL a worker mid-map. The in-flight task
-   must be retried on a surviving/replacement worker, the results must
-   be byte-identical to an undisturbed run, and the pool must report
-   the restart. *)
-let test_proc_worker_kill_recovers () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Procs ~jobs:2 ~retries:2
-    (fun pool ->
-      require_procs pool;
-      let sentinel = Filename.temp_file "engine-kill" ".sentinel" in
-      Sys.remove sentinel;
-      Fun.protect ~finally:(fun () ->
-          try Sys.remove sentinel with Sys_error _ -> ())
-      @@ fun () ->
-      let f i =
-        if i = 3 && not (Sys.file_exists sentinel) then begin
-          (* First attempt only: leave a marker, then die like a
-             segfault would — no cleanup, no exit handlers. *)
-          let oc = open_out sentinel in
-          close_out oc;
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-        end;
-        i * 2
-      in
-      let out = Engine.Pool.map pool f (Array.init 8 (fun i -> i)) in
-      Alcotest.(check (array int))
-        "results identical despite the crash"
-        (Array.init 8 (fun i -> i * 2))
-        out;
-      Alcotest.(check bool)
-        (Printf.sprintf "restart recorded (%d)" (Engine.Pool.restarts pool))
-        true
-        (Engine.Pool.restarts pool >= 1);
-      (* The pool keeps working after recovery. *)
-      let again = Engine.Pool.map pool (fun i -> i + 1) [| 1; 2; 3 |] in
-      Alcotest.(check (array int)) "pool alive after crash" [| 2; 3; 4 |] again)
-
-(* (m) Retry exhaustion: a task that kills its worker on every attempt
-   fails deterministically with Worker_lost after retries are spent —
-   it must not hang the map or poison the other tasks. *)
-let test_proc_retry_exhaustion () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Procs ~jobs:2 ~retries:1
-    (fun pool ->
-      require_procs pool;
-      let f i =
-        if i = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-        i + 10
-      in
-      match Engine.Pool.map pool f [| 0; 1; 2; 3 |] with
-      | _ -> Alcotest.fail "expected Task_failed"
-      | exception Engine.Pool.Task_failed { index; exn; _ } -> (
-          Alcotest.(check int) "deterministic failing index" 1 index;
-          match exn with
-          | Engine.Proc.Worker_lost { attempts; _ } ->
-              Alcotest.(check int) "retries=1 means two attempts" 2 attempts
-          | other ->
-              Alcotest.failf "expected Worker_lost, got %s"
-                (Printexc.to_string other)))
-
-(* (n) A task exception inside a worker is a failure report, not a
-   crash: no retry, surfaced as Remote_failure with the printed
-   exception. *)
-let test_proc_remote_failure () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Procs ~jobs:2 ~retries:2
-    (fun pool ->
-      require_procs pool;
-      match
-        Engine.Pool.map pool
-          (fun i -> if i = 2 then failwith "remote boom" else i)
-          [| 0; 1; 2; 3 |]
-      with
-      | _ -> Alcotest.fail "expected Task_failed"
-      | exception Engine.Pool.Task_failed { index; exn; _ } -> (
-          Alcotest.(check int) "failing index" 2 index;
-          Alcotest.(check int) "a raising task is not a worker loss" 0
-            (Engine.Pool.restarts pool);
-          match exn with
-          | Engine.Proc.Remote_failure { message } ->
-              Alcotest.(check bool)
-                (Printf.sprintf "printed exception carried over (%s)" message)
-                true
-                (String.length message > 0
-                && String.equal message (Printexc.to_string (Failure "remote boom")))
-          | other ->
-              Alcotest.failf "expected Remote_failure, got %s"
-                (Printexc.to_string other)))
-
-(* (o) Per-task timeout: a wedged worker is killed and replaced, and
-   the task retried; the map completes instead of hanging. *)
-let test_proc_timeout_replaces_wedged_worker () =
-  Engine.Pool.with_pool ~backend:Engine.Pool.Procs ~jobs:1 ~retries:2
-    ~timeout_s:0.5 (fun pool ->
-      require_procs pool;
-      let sentinel = Filename.temp_file "engine-wedge" ".sentinel" in
-      Sys.remove sentinel;
-      Fun.protect ~finally:(fun () ->
-          try Sys.remove sentinel with Sys_error _ -> ())
-      @@ fun () ->
-      let f i =
-        if i = 0 && not (Sys.file_exists sentinel) then begin
-          let oc = open_out sentinel in
-          close_out oc;
-          (* Wedge far beyond the timeout; only SIGKILL gets us out. *)
-          Unix.sleep 30
-        end;
-        i + 100
-      in
-      let t0 = Unix.gettimeofday () in
-      let out = Engine.Pool.map pool f [| 0; 1 |] in
-      let wall = Unix.gettimeofday () -. t0 in
-      Alcotest.(check (array int)) "wedged task retried" [| 100; 101 |] out;
-      Alcotest.(check bool)
-        (Printf.sprintf "timeout enforced, no 30s hang (%.2fs)" wall)
-        true (wall < 10.);
-      Alcotest.(check bool) "wedged worker replaced" true
-        (Engine.Pool.restarts pool >= 1))
-
 let suite =
   [
     Alcotest.test_case "parallel = serial on an experiment grid" `Slow
@@ -717,14 +579,4 @@ let suite =
       `Quick test_lru_same_second_hit_survives;
     Alcotest.test_case "pool serial fast path books a caller slot" `Quick
       test_caller_slot_not_worker_zero;
-    Alcotest.test_case "procs backend renders byte-identically" `Slow
-      test_proc_backend_identical;
-    Alcotest.test_case "procs backend recovers from a killed worker" `Quick
-      test_proc_worker_kill_recovers;
-    Alcotest.test_case "procs backend exhausts retries deterministically"
-      `Quick test_proc_retry_exhaustion;
-    Alcotest.test_case "procs backend reports task exceptions remotely" `Quick
-      test_proc_remote_failure;
-    Alcotest.test_case "procs backend times out a wedged worker" `Quick
-      test_proc_timeout_replaces_wedged_worker;
   ]

@@ -82,24 +82,25 @@ let check_full_registry () =
        intentional"
       (String.length goldens) (String.length serial) path
 
-(* The subprocess backend must reproduce the pinned bytes too:
-   table1 (workload cache) and fig8 (market cache) re-run through
-   worker subprocesses and diff against the same goldens. If the
-   backend cannot spawn on this host, the pool degrades to domains —
-   the bytes must still match either way, so no skip is needed. *)
-let check_procs_backend () =
+(* The process backend must reproduce the pinned bytes too: table1
+   (workload cache) and fig8 (market cache) re-run through a loopback
+   worker fleet (what --backend procs and remote run) and diff against
+   the same goldens. If the fleet cannot spawn on this host, the pool
+   degrades to domains — the bytes must still match either way, so no
+   skip is needed. *)
+let check_process_backend () =
   List.iter
     (fun id ->
       let expected = read_file (golden_path id) in
       let actual =
         Runner.render
-          (Runner.run_experiments ~backend:Engine.Pool.Procs ~jobs:2
+          (Runner.run_experiments ~backend:Engine.Pool.Remote ~jobs:2
              [ Experiment.find id ])
       in
       if not (String.equal expected actual) then
-        let path = dump_mismatch ~id:(id ^ ".procs") ~jobs:2 actual in
+        let path = dump_mismatch ~id:(id ^ ".remote") ~jobs:2 actual in
         Alcotest.failf
-          "golden mismatch for %s under --backend procs (%d expected vs %d \
+          "golden mismatch for %s under --backend remote (%d expected vs %d \
            actual bytes); actual dumped to %s"
           id (String.length expected) (String.length actual) path)
     [ "table1"; "fig8" ]
@@ -116,6 +117,6 @@ let suite =
   @ [
       Alcotest.test_case "full registry = concatenated goldens, any jobs"
         `Slow check_full_registry;
-      Alcotest.test_case "goldens reproduce under the subprocess backend"
-        `Slow check_procs_backend;
+      Alcotest.test_case "goldens reproduce under the process backend"
+        `Slow check_process_backend;
     ]

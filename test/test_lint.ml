@@ -147,7 +147,7 @@ let d005_kernel () =
 
 let h001 () =
   check_rule ~file:"lib/fake/mod.ml" "let f () = exit 1" "H001" 1 ();
-  check_rule ~file:"lib/engine/proc.ml" "let f () = exit 0" "H001" 0 ();
+  check_rule ~file:"lib/engine/remote.ml" "let f () = exit 0" "H001" 0 ();
   check_rule ~file:"lib/fake/mod.ml" "let f () = raise Exit" "H001" 0 ();
   check_rule ~file:"bin/fake.ml" "let f () = exit 2" "H001" 0 ()
 

@@ -1,10 +1,6 @@
-(* Must come first: the subprocess-backend tests re-invoke this very
-   executable as an engine worker (--engine-worker); serve tasks and
-   exit before Alcotest parses argv. *)
-let () = Engine.Proc.maybe_run_worker ()
-
-(* Same for the TCP fleet backend: Exec-mode tests spawn this binary
-   with --engine-remote-worker=connect:... *)
+(* Must come first: the fleet-backend tests re-invoke this very
+   executable as a worker (--engine-remote-worker=connect:... or
+   listen:...); serve tasks and exit before Alcotest parses argv. *)
 let () = Engine.Remote.maybe_run_worker ()
 
 let () =

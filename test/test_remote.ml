@@ -1,9 +1,9 @@
 (* Engine.Remote: the TCP fleet backend, exercised end-to-end over
    loopback workers (this test binary re-invokes itself through
    --engine-remote-worker=connect:…; Test_main calls
-   Remote.maybe_run_worker first). Mirrors the subprocess-backend
-   tests in Test_engine: identical task semantics, plus the TCP-only
-   paths — the CAS side-channel and the standalone daemon. *)
+   Remote.maybe_run_worker first): byte-identity, crash recovery,
+   retries, task failures and timeouts, the CAS side-channel and the
+   standalone daemon. *)
 
 open Tiered
 
@@ -106,6 +106,36 @@ let test_remote_task_failure () =
               Alcotest.failf "expected Remote_failure, got %s"
                 (Printexc.to_string other)))
 
+(* (d') Per-task timeout: a wedged worker is killed and replaced, and
+   the task retried; the map completes instead of hanging. *)
+let test_remote_timeout_replaces_wedged_worker () =
+  Engine.Pool.with_pool ~backend:Engine.Pool.Remote ~jobs:1 ~retries:2
+    ~timeout_s:0.5 (fun pool ->
+      require_remote pool;
+      let sentinel = Filename.temp_file "engine-wedge" ".sentinel" in
+      Sys.remove sentinel;
+      Fun.protect ~finally:(fun () ->
+          try Sys.remove sentinel with Sys_error _ -> ())
+      @@ fun () ->
+      let f i =
+        if i = 0 && not (Sys.file_exists sentinel) then begin
+          let oc = open_out sentinel in
+          close_out oc;
+          (* Wedge far beyond the timeout; only SIGKILL gets us out. *)
+          Unix.sleep 30
+        end;
+        i + 100
+      in
+      let t0 = Unix.gettimeofday () in
+      let out = Engine.Pool.map pool f [| 0; 1 |] in
+      let wall = Unix.gettimeofday () -. t0 in
+      Alcotest.(check (array int)) "wedged task retried" [| 100; 101 |] out;
+      Alcotest.(check bool)
+        (Printf.sprintf "timeout enforced, no 30s hang (%.2fs)" wall)
+        true (wall < 10.);
+      Alcotest.(check bool) "wedged worker replaced" true
+        (Engine.Pool.restarts pool >= 1))
+
 (* (e) The CAS side-channel: a worker that misses an artifact fetches
    it from the parent's store by digest over its task connection. The
    parent store is pre-seeded with the marshalled payload; the task's
@@ -179,14 +209,11 @@ let test_parse_spec () =
       | Error _ -> ())
     [ ""; "exec:0"; "exec:x"; "nohost"; "host:"; "host:0"; "host:notaport" ]
 
-(* (h) The standalone daemon path: a worker started with serve_forever
-   semantics (here: a listener the fleet connects out to) serves a
-   map, survives the parent disconnecting, and serves a second parent
-   — in-memory caches staying warm across connections. *)
-let test_remote_daemon_reconnect () =
-  (* Bind the daemon port first so the fleet has something to dial. *)
+(* A standalone daemon child of this binary on a free loopback port,
+   killed once [f port] returns. [env] replaces the inherited
+   environment (to hand the daemon a token). *)
+let with_daemon ?env f =
   let exe = Sys.executable_name in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let port =
     (* Pick a free port by binding an ephemeral listener, reading the
        port back, and closing it — a race in principle, but the daemon
@@ -202,36 +229,45 @@ let test_remote_daemon_reconnect () =
     Unix.close s;
     p
   in
+  let argv = [| exe; "--engine-remote-worker=listen:" ^ string_of_int port |] in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let pid =
-    Unix.create_process exe
-      [| exe; "--engine-remote-worker=listen:" ^ string_of_int port |]
-      null Unix.stderr Unix.stderr
+    match env with
+    | None -> Unix.create_process exe argv null Unix.stderr Unix.stderr
+    | Some env -> Unix.create_process_env exe argv env null Unix.stderr Unix.stderr
   in
   Unix.close null;
   let finally () =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
   in
-  Fun.protect ~finally @@ fun () ->
+  Fun.protect ~finally (fun () -> f port)
+
+(* Connect a fleet to a daemon child, which needs a moment to bind. *)
+let create_with_patience ?token port =
   let addrs = Engine.Remote.Addrs [ ("127.0.0.1", port) ] in
-  let connect_with_patience () =
-    (* The daemon child needs a moment to bind. *)
-    let rec go tries =
-      match Engine.Remote.create addrs with
-      | fleet -> fleet
-      | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
+  let rec go tries =
+    match Engine.Remote.create ?token addrs with
+    | fleet -> fleet
+    | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
+        Unix.sleepf 0.1;
+        go (tries - 1)
   in
-  let fleet = connect_with_patience () in
+  go 50
+
+(* (h) The standalone daemon path: a worker started with serve_forever
+   semantics (here: a listener the fleet connects out to) serves a
+   map, survives the parent disconnecting, and serves a second parent
+   — in-memory caches staying warm across connections. *)
+let test_remote_daemon_reconnect () =
+  with_daemon @@ fun port ->
+  let fleet = create_with_patience port in
   let out = Engine.Remote.map fleet (fun i -> i * 3) [| 1; 2; 3 |] in
   Alcotest.(check bool) "first connection maps" true
     (Array.for_all Result.is_ok out);
   Engine.Remote.shutdown fleet;
   (* Second parent: the daemon must accept a fresh connection. *)
-  let fleet2 = connect_with_patience () in
+  let fleet2 = create_with_patience port in
   let out2 = Engine.Remote.map fleet2 (fun i -> i + 1) [| 10 |] in
   (match out2.(0) with
   | Ok v -> Alcotest.(check int) "second connection maps" 11 v
@@ -244,20 +280,6 @@ let test_remote_daemon_reconnect () =
    presenting another — the rejection happens at the preamble, before
    any closure-carrying frame could be unmarshalled. *)
 let test_remote_daemon_token_auth () =
-  let exe = Sys.executable_name in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let port =
-    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt s Unix.SO_REUSEADDR true;
-    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname s with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    Unix.close s;
-    p
-  in
   let env =
     let prefix = Engine.Remote.token_env ^ "=" in
     let plen = String.length prefix in
@@ -270,29 +292,10 @@ let test_remote_daemon_token_auth () =
     in
     Array.of_list (keep @ [ prefix ^ "s3cret" ])
   in
-  let pid =
-    Unix.create_process_env exe
-      [| exe; "--engine-remote-worker=listen:" ^ string_of_int port |]
-      env null Unix.stderr Unix.stderr
-  in
-  Unix.close null;
-  let finally () =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0))
-  in
-  Fun.protect ~finally @@ fun () ->
+  with_daemon ~env @@ fun port ->
   let addrs = Engine.Remote.Addrs [ ("127.0.0.1", port) ] in
   (* Correct token (with patience for the daemon to bind). *)
-  let fleet =
-    let rec go tries =
-      match Engine.Remote.create ~token:"s3cret" addrs with
-      | fleet -> fleet
-      | exception Engine.Remote.Spawn_failure _ when tries > 0 ->
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
+  let fleet = create_with_patience ~token:"s3cret" port in
   let out = Engine.Remote.map fleet (fun i -> i * 7) [| 6 |] in
   (match out.(0) with
   | Ok v -> Alcotest.(check int) "authenticated parent maps" 42 v
@@ -313,6 +316,37 @@ let test_remote_daemon_token_auth () =
       Alcotest.fail "daemon accepted a parent with no token"
   | exception Engine.Remote.Spawn_failure _ -> ()
 
+(* (i') A silent peer cannot wedge the daemon, which serves one
+   connection at a time: a connection that never sends its auth
+   preamble is dropped at the daemon's auth deadline, and the parent
+   queued behind it is served within its own handshake budget. *)
+let test_remote_daemon_drops_idle_connection () =
+  with_daemon @@ fun port ->
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec connect_idle tries =
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect sock addr with
+    | () -> sock
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+        Unix.close sock;
+        Unix.sleepf 0.1;
+        connect_idle (tries - 1)
+  in
+  let idle = connect_idle 50 in
+  Fun.protect ~finally:(fun () -> Unix.close idle) @@ fun () ->
+  let fleet =
+    match Engine.Remote.create (Engine.Remote.Addrs [ ("127.0.0.1", port) ]) with
+    | fleet -> fleet
+    | exception Engine.Remote.Spawn_failure msg ->
+        Alcotest.failf "the idle connection wedged the daemon: %s" msg
+  in
+  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
+  let out = Engine.Remote.map fleet (fun i -> i * 5) [| 4 |] in
+  match out.(0) with
+  | Ok v -> Alcotest.(check int) "parent behind the idle peer maps" 20 v
+  | Error (exn, _) ->
+      Alcotest.failf "map failed: %s" (Printexc.to_string exn)
+
 (* (j) Binding beyond loopback without a shared secret is refused
    outright — an open port accepts closures, i.e. arbitrary code. *)
 let test_serve_forever_refuses_open_bind_without_token () =
@@ -330,6 +364,8 @@ let suite =
       `Quick test_remote_retry_exhaustion;
     Alcotest.test_case "remote backend reports task exceptions" `Quick
       test_remote_task_failure;
+    Alcotest.test_case "remote backend times out a wedged worker" `Quick
+      test_remote_timeout_replaces_wedged_worker;
     Alcotest.test_case "workers fetch artifacts from the parent store" `Quick
       test_remote_cas_fetch;
     Alcotest.test_case "workers publish artifacts to the parent store" `Quick
@@ -339,6 +375,8 @@ let suite =
       test_remote_daemon_reconnect;
     Alcotest.test_case "standalone daemon enforces the shared secret" `Quick
       test_remote_daemon_token_auth;
+    Alcotest.test_case "standalone daemon drops an idle connection" `Quick
+      test_remote_daemon_drops_idle_connection;
     Alcotest.test_case "non-loopback bind requires a shared secret" `Quick
       test_serve_forever_refuses_open_bind_without_token;
   ]

@@ -1,10 +1,9 @@
 (* The streaming pricing service (lib/serve): sliding-window demand,
-   sharded ingest, per-window re-tiering on a frozen calibration, and
+   streaming ingest, per-window re-tiering on a frozen calibration, and
    the daemon loop. The acceptance property is determinism: posted
    tiers are bitwise what the exact quadratic DP gives on the window's
-   rebuilt market, depend only on the calibration and the window —
-   never on the windows before it — and are the same at any shard
-   count. *)
+   rebuilt market, and depend only on the calibration and the window —
+   never on the windows before it. *)
 
 open Serve
 
@@ -338,7 +337,6 @@ let test_stats_absent_vs_zero () =
       late = 0;
       seq_gaps = 0;
       malformed = 0;
-      shards = 1;
       occupancy = 1.;
       wall_s = 0.5;
       records_per_s = 20.;
@@ -419,9 +417,6 @@ let rparams ?(spec = Tiered.Market.Ced) ?(n_bundles = 3) () =
   }
 
 let base_demands = [ 40.; 25.; 9.; 31.; 5.; 17.; 52.; 3. ]
-
-let check_cuts = Alcotest.(check (list int))
-let check_prices = Alcotest.(check (array (float 0.)))
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -613,56 +608,6 @@ let prop_retier_differential =
           && same_posting o (quadratic_posting ~n_bundles:params.Retier.n_bundles t snap o))
         (List.mapi (fun bin d -> (bin, d)) windows))
 
-(* --- Shards -------------------------------------------------------------- *)
-
-let test_shards_stable_partition () =
-  let t = Shards.create ~shards:3 ~dedup:false (wparams ()) in
-  let r = rec_ ~src:0x0A0B0C01 ~dst:0x0A0B0D02 ~bytes:1. ~first_s:0 () in
-  let s0 = Shards.shard_of t r in
-  (* The same endpoint pair always lands on the same shard, regardless
-     of ports, router or time — a flow's duplicates share its shard. *)
-  let variants =
-    [
-      rec_ ~router:5 ~src:0x0A0B0C01 ~dst:0x0A0B0D02 ~bytes:9. ~first_s:77 ();
-      rec_ ~src_port:4242 ~src:0x0A0B0C01 ~dst:0x0A0B0D02 ~bytes:2. ~first_s:3 ();
-    ]
-  in
-  List.iter
-    (fun v -> Alcotest.(check int) "stable shard" s0 (Shards.shard_of t v))
-    variants;
-  (* Last-octet churn stays on the shard too (/24 prefix partition). *)
-  let sibling = rec_ ~src:0x0A0B0C63 ~dst:0x0A0B0D07 ~bytes:1. ~first_s:0 () in
-  Alcotest.(check int) "/24 sibling" s0 (Shards.shard_of t sibling)
-
-let test_shards_merge_matches_single () =
-  (* The sharded pipeline's merged snapshot feeds the same tiers as a
-     1-shard run: exercised end-to-end below; here, the merge itself —
-     flow multiset and aggregate counters agree at any shard count. *)
-  let records =
-    (* Endpoints spread across /24s so a multi-shard run actually
-       partitions the flows. *)
-    List.init 40 (fun i ->
-        rec_ ~src:((i * 1024) + 7) ~dst:((i * 2048) + 9000)
-          ~bytes:(float_of_int (100 * (i + 1)))
-          ~first_s:i ())
-  in
-  let run k =
-    let t = Shards.create ~shards:k ~dedup:false (wparams ()) in
-    List.iter (Shards.observe t) records;
-    Shards.snapshot t ~bin:4 ~retire_s:(-100)
-  in
-  let s1 = run 1 and s3 = run 3 in
-  let key f = (Flowgen.Ipv4.to_int f.Window.f_src, f.Window.f_mbps) in
-  let sorted s =
-    Array.to_list s.Window.s_flows |> List.map key |> List.sort compare
-  in
-  Alcotest.(check int) "same flow count" (Array.length s1.Window.s_flows)
-    (Array.length s3.Window.s_flows);
-  Alcotest.(check bool) "same rates" true (sorted s1 = sorted s3);
-  Alcotest.(check (float 0.)) "same occupancy" s1.Window.s_occupancy
-    s3.Window.s_occupancy;
-  Alcotest.(check int) "same late" s1.Window.s_late s3.Window.s_late
-
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* [Window] against a reference keyed by a polymorphic [Hashtbl] on
@@ -761,77 +706,45 @@ let prop_window_matches_reference =
         ops
       && check_snapshot ())
 
-(* Eager [Shards] against the buffered formulation it replaced: each
-   shard keeps its records until the snapshot and only then replays
-   them through its dedup + window, advances, retires and snapshots;
-   the merge is shard-major with uids injected as [uid * k + shard].
-   Streams carry router duplicates, late and out-of-order records, and
-   flow churn (the active flow set drifts with time); the snapshots
-   must agree bit for bit at every shard count. *)
+(* Eager [Shards] against the buffered formulation it replaced, which
+   kept every record until the snapshot and only then replayed them
+   through dedup + window, advanced, retired and snapshotted. Streams
+   carry router duplicates, late and out-of-order records, and flow
+   churn (the active flow set drifts with time); the snapshots must
+   agree bit for bit. *)
 module Buffered = struct
-  type part = {
+  type t = {
+    wp : Window.params;
     dd : Flowgen.Dedup.Stream.t option;
     win : Window.t;
     mutable pending : Flowgen.Netflow.record list;  (* reverse order *)
   }
 
-  type t = { route : Shards.t; wp : Window.params; parts : part array }
-
-  let create ~shards ~dedup wp =
+  let create ~dedup wp =
     {
-      route = Shards.create ~shards ~dedup wp;
       wp;
-      parts =
-        Array.init shards (fun _ ->
-            {
-              dd = (if dedup then Some (Flowgen.Dedup.Stream.create ()) else None);
-              win = Window.create wp;
-              pending = [];
-            });
+      dd = (if dedup then Some (Flowgen.Dedup.Stream.create ()) else None);
+      win = Window.create wp;
+      pending = [];
     }
 
-  let observe t r =
-    let p = t.parts.(Shards.shard_of t.route r) in
-    p.pending <- r :: p.pending
-
-  let drain t p ~bin ~retire_s =
-    List.iter
-      (fun (r : Flowgen.Netflow.record) ->
-        let keep = match p.dd with None -> true | Some dd -> Flowgen.Dedup.Stream.observe dd r in
-        if keep then
-          ignore
-            (Window.observe p.win ~src:r.src ~dst:r.dst ~bytes:r.bytes
-               ~bin:(Window.bin_of_time t.wp (float_of_int r.first_s))))
-      (List.rev p.pending);
-    p.pending <- [];
-    Window.advance_to p.win ~bin;
-    Option.iter (fun dd -> Flowgen.Dedup.Stream.forget_before dd ~first_s:retire_s) p.dd;
-    Window.snapshot p.win
+  let observe t r = t.pending <- r :: t.pending
 
   let snapshot t ~bin ~retire_s =
-    let k = Array.length t.parts in
-    let snaps = Array.map (drain t ~bin ~retire_s) t.parts in
-    let flows =
-      Array.concat
-        (Array.to_list
-           (Array.mapi
-              (fun shard s ->
-                Array.map
-                  (fun f -> { f with Window.f_uid = (f.Window.f_uid * k) + shard })
-                  s.Window.s_flows)
-              snaps))
-    in
-    {
-      Window.s_bin = bin;
-      s_flows = flows;
-      s_occupancy = Array.fold_left (fun acc s -> Float.max acc s.Window.s_occupancy) 0. snaps;
-      s_late = Array.fold_left (fun acc s -> acc + s.Window.s_late) 0 snaps;
-    }
+    List.iter
+      (fun (r : Flowgen.Netflow.record) ->
+        let keep = match t.dd with None -> true | Some dd -> Flowgen.Dedup.Stream.observe dd r in
+        if keep then
+          ignore
+            (Window.observe t.win ~src:r.src ~dst:r.dst ~bytes:r.bytes
+               ~bin:(Window.bin_of_time t.wp (float_of_int r.first_s))))
+      (List.rev t.pending);
+    t.pending <- [];
+    Window.advance_to t.win ~bin;
+    Option.iter (fun dd -> Flowgen.Dedup.Stream.forget_before dd ~first_s:retire_s) t.dd;
+    Window.snapshot t.win
 
-  let dropped t =
-    Array.fold_left
-      (fun acc p -> acc + Option.fold ~none:0 ~some:Flowgen.Dedup.Stream.dropped p.dd)
-      0 t.parts
+  let dropped t = Option.fold ~none:0 ~some:Flowgen.Dedup.Stream.dropped t.dd
 end
 
 let same_snapshot (a : Window.snapshot) (b : Window.snapshot) =
@@ -874,7 +787,7 @@ let gen_decay =
       ])
 
 let prop_shards_eager_matches_buffered =
-  QCheck.Test.make ~name:"eager Shards = buffered replay at snapshot, bitwise, 1-3 shards"
+  QCheck.Test.make ~name:"eager Shards = buffered replay at snapshot, bitwise"
     ~count:300
     (QCheck.make
        ~print:(fun (bins, _, dedup, steps) ->
@@ -884,44 +797,40 @@ let prop_shards_eager_matches_buffered =
     (fun (bins, decay, dedup, steps) ->
       let wp = { Window.bin_s = 10; bins; decay } in
       let span = bins * 10 in
-      List.for_all
-        (fun k ->
-          let eager = Shards.create ~expected:4 ~shards:k ~dedup wp in
-          let buffered = Buffered.create ~shards:k ~dedup wp in
-          let now = ref 0 in
-          let agree = ref true in
-          let snap () =
-            let bin = Window.bin_of_time wp (float_of_int !now) and retire_s = !now - span in
-            let a = Shards.snapshot eager ~bin ~retire_s in
-            let b = Buffered.snapshot buffered ~bin ~retire_s in
-            if not (same_snapshot a b) then agree := false
-          in
-          List.iter
-            (function
-              | Snapshot -> snap ()
-              | Record { flow; dt; routers; lag; bytes } ->
-                  now := !now + dt;
-                  (* Churn: the active flow ids drift one per 50 s, so
-                     flows arrive and depart over the stream. Endpoints
-                     spread over /24s so every shard gets traffic. *)
-                  let id = flow + (!now / 50) in
-                  let first_s = Stdlib.max 0 (!now - lag) in
-                  for router = 0 to routers - 1 do
-                    let r =
-                      rec_ ~router ~src_port:(1000 + (id mod 3))
-                        ~src:((((id * 7) mod 23) lsl 8) lor (id land 0xFF))
-                        ~dst:((((id * 5) mod 19) + 40) lsl 8)
-                        ~bytes ~first_s ()
-                    in
-                    Shards.observe eager r;
-                    Buffered.observe buffered r
-                  done)
-            steps;
-          snap ();
-          !agree
-          && Shards.pending eager = 0
-          && Option.value ~default:0 (Shards.dropped_dup eager) = Buffered.dropped buffered)
-        [ 1; 2; 3 ])
+      let eager = Shards.create ~expected:4 ~shards:1 ~dedup wp in
+      let buffered = Buffered.create ~dedup wp in
+      let now = ref 0 in
+      let agree = ref true in
+      let snap () =
+        let bin = Window.bin_of_time wp (float_of_int !now) and retire_s = !now - span in
+        let a = Shards.snapshot eager ~bin ~retire_s in
+        let b = Buffered.snapshot buffered ~bin ~retire_s in
+        if not (same_snapshot a b) then agree := false
+      in
+      List.iter
+        (function
+          | Snapshot -> snap ()
+          | Record { flow; dt; routers; lag; bytes } ->
+              now := !now + dt;
+              (* Churn: the active flow ids drift one per 50 s, so
+                 flows arrive and depart over the stream. *)
+              let id = flow + (!now / 50) in
+              let first_s = Stdlib.max 0 (!now - lag) in
+              for router = 0 to routers - 1 do
+                let r =
+                  rec_ ~router ~src_port:(1000 + (id mod 3))
+                    ~src:((((id * 7) mod 23) lsl 8) lor (id land 0xFF))
+                    ~dst:((((id * 5) mod 19) + 40) lsl 8)
+                    ~bytes ~first_s ()
+                in
+                Shards.observe eager r;
+                Buffered.observe buffered r
+              done)
+        steps;
+      snap ();
+      !agree
+      && Shards.pending eager = 0
+      && Option.value ~default:0 (Shards.dropped_dup eager) = Buffered.dropped buffered)
 
 (* --- Daemon end-to-end: posted tiers = quadratic DP over a multi-day run -- *)
 
@@ -965,59 +874,7 @@ let test_daemon_determinism () =
     (match result.Daemon.r_run.Stats.dropped_dup with
     | Some d -> d > 0
     | None -> false);
-  Alcotest.(check int) "no late drops" 0 result.Daemon.r_run.Stats.late;
-  Alcotest.(check int) "one shard reported" 1
-    result.Daemon.r_run.Stats.shards
-
-let run_sharded ?pool ~shards ~days w =
-  let retier = serve_retier w in
-  let state = Shards.create ~shards ~dedup:true serve_wp in
-  let clock, _ = Clock.manual () in
-  let posted = ref [] in
-  let result =
-    Daemon.run
-      ~on_retier:(fun _ o -> posted := o :: !posted)
-      ~clock ?pool ~shards:state ~retier
-      { Daemon.every_s = 3600 }
-      (Ingest.of_workload ~days ~seed:11 w)
-  in
-  (result, List.rev !posted)
-
-let check_same_postings name a b =
-  Alcotest.(check int) (name ^ ": window count") (List.length a)
-    (List.length b);
-  List.iter2
-    (fun (x : Retier.outcome) (y : Retier.outcome) ->
-      check_cuts (name ^ ": cuts") x.Retier.o_cuts y.Retier.o_cuts;
-      check_prices (name ^ ": prices") x.Retier.o_prices y.Retier.o_prices;
-      Alcotest.(check (float 0.))
-        (name ^ ": profit")
-        x.Retier.o_profit y.Retier.o_profit)
-    a b
-
-let test_daemon_shard_equality () =
-  (* The acceptance pin of the sharded pipeline: posted tiers are
-     bitwise those of the 1-shard run, window for window, and the
-     aggregate run counters agree. *)
-  let w = Lazy.force small_workload in
-  let r1, p1 = run_sharded ~shards:1 ~days:2 w in
-  let r3, p3 = run_sharded ~shards:3 ~days:2 w in
-  check_same_postings "3 vs 1 shards" p1 p3;
-  Alcotest.(check int) "same records" r1.Daemon.r_run.Stats.records
-    r3.Daemon.r_run.Stats.records;
-  Alcotest.(check (option int)) "same duplicates dropped"
-    r1.Daemon.r_run.Stats.dropped_dup r3.Daemon.r_run.Stats.dropped_dup;
-  Alcotest.(check int) "same flows" r1.Daemon.r_flows r3.Daemon.r_flows
-
-let test_daemon_shard_pool () =
-  (* Same pin with the drain fanned out on a domain pool. *)
-  let w = Lazy.force small_workload in
-  let _, serial = run_sharded ~shards:2 ~days:1 w in
-  let _, pooled =
-    Engine.Pool.with_pool ~jobs:2 (fun pool ->
-        run_sharded ~pool ~shards:2 ~days:1 w)
-  in
-  check_same_postings "pooled vs serial" serial pooled
+  Alcotest.(check int) "no late drops" 0 result.Daemon.r_run.Stats.late
 
 let test_daemon_out_of_order () =
   (* Out-of-order arrivals (dedup off — its contract needs ordered
@@ -1173,11 +1030,7 @@ let suite =
     Alcotest.test_case "retier skips unknown endpoints" `Quick test_retier_skips_unknown_endpoints;
     Alcotest.test_case "retier rejects linear" `Quick test_retier_rejects_linear;
     QCheck_alcotest.to_alcotest prop_retier_differential;
-    Alcotest.test_case "shards stable partition" `Quick test_shards_stable_partition;
-    Alcotest.test_case "shards merge matches single" `Quick test_shards_merge_matches_single;
     Alcotest.test_case "daemon determinism (= quadratic)" `Quick test_daemon_determinism;
-    Alcotest.test_case "daemon shard equality" `Quick test_daemon_shard_equality;
-    Alcotest.test_case "daemon shard pool" `Quick test_daemon_shard_pool;
     Alcotest.test_case "daemon out-of-order tail" `Quick test_daemon_out_of_order;
     Alcotest.test_case "daemon dedup and late" `Quick test_daemon_dedup_and_late;
     Alcotest.test_case "daemon wire counters" `Quick test_daemon_wire_counters;

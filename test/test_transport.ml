@@ -157,28 +157,70 @@ let test_retries_span_respawned_workers () =
   check_worker_lost ~attempts:2 "two garbage workers"
     (map_against ~retries:1 ~spares:3 "definitely not a frame")
 
-(* (e) Handshake resync: init-time noise ahead of the magic is
-   discarded byte-by-byte; a peer that never produces the magic fails
-   the deadline instead of hanging. *)
-let test_handshake_resync_and_deadline () =
-  let r, w = Unix.pipe ~cloexec:true () in
-  let noise = "stray stdout chatter \001\253 almost-magic \002" in
-  let nw = Unix.write_substring w noise 0 (String.length noise) in
-  Alcotest.(check int) "noise preloaded" (String.length noise) nw;
+(* (e) Handshake: the stream must open with the magic — stray bytes
+   ahead of it are rejected, not skipped — and a peer that stays
+   silent, or sends part of the handshake and stalls, fails the
+   deadline instead of hanging. *)
+let test_handshake_rejects_noise_and_deadline () =
+  let preload w bytes =
+    let n = Unix.write_substring w bytes 0 (String.length bytes) in
+    Alcotest.(check int) "bytes preloaded" (String.length bytes) n
+  in
   let m = Engine.Transport.magic in
-  let mw = Unix.write_substring w m 0 (String.length m) in
-  Alcotest.(check int) "magic preloaded" (String.length m) mw;
-  Engine.Transport.write_frame w "ready";
-  Engine.Transport.handshake ~deadline_s:5.0 r;
+  (* The clean stream: magic, then the ready frame. *)
+  let r, w = Unix.pipe ~cloexec:true () in
+  preload w m;
+  Engine.Transport.write_frame w "readyk";
+  Engine.Transport.handshake ~deadline_s:5.0 ~token:"k" r;
   Unix.close r;
   Unix.close w;
-  (* Deadline: a silent peer. *)
+  (* Noise ahead of the magic. *)
   let r, w = Unix.pipe ~cloexec:true () in
-  (match Engine.Transport.handshake ~deadline_s:0.2 r with
-  | () -> Alcotest.fail "handshake succeeded against a silent peer"
+  preload w ("stray stdout chatter \001\253 almost-magic \002" ^ m);
+  Engine.Transport.write_frame w "readyk";
+  (match Engine.Transport.handshake ~deadline_s:5.0 ~token:"k" r with
+  | () -> Alcotest.fail "handshake accepted noise ahead of the magic"
   | exception (Failure _ | End_of_file) -> ());
   Unix.close r;
-  Unix.close w
+  Unix.close w;
+  (* Deadline: a silent peer, then one that sends the magic and half a
+     frame header. *)
+  List.iter
+    (fun (what, bytes) ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      if bytes <> "" then preload w bytes;
+      let t0 = Unix.gettimeofday () in
+      (match Engine.Transport.handshake ~deadline_s:0.2 ~token:"k" r with
+      | () -> Alcotest.failf "handshake succeeded against a %s peer" what
+      | exception (Failure _ | End_of_file) -> ());
+      let wall = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s peer timed out near the deadline (%.2fs)" what wall)
+        true (wall < 2.);
+      Unix.close r;
+      Unix.close w)
+    [ ("silent", ""); ("stalling", m ^ "\000\000") ]
+
+(* (e') The worker side of the same rule: a parent that connects and
+   never sends its auth preamble is dropped at the deadline, so it
+   cannot hold a one-connection-at-a-time daemon. *)
+let test_serve_worker_drops_silent_parent () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Engine.Transport.serve_worker ~in_fd:in_r ~out_fd:out_w ~token:"k"
+       ~auth_deadline_s:0.2 ()
+   with
+  | () -> Alcotest.fail "serve_worker returned for a silent parent"
+  | exception Engine.Transport.Auth_failure -> ()
+  | exception exn ->
+      Alcotest.failf "expected Auth_failure, got %s" (Printexc.to_string exn));
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "dropped near the deadline (%.2fs)" wall)
+    true (wall < 2.);
+  List.iter Unix.close [ in_r; in_w; out_r; out_w ]
 
 (* (f) Frame IO round-trip, including the empty frame and one bigger
    than a pipe buffer. A regular file stands in for the socket — a
@@ -222,7 +264,10 @@ let test_auth_preamble () =
     preload in_w;
     Unix.close in_w;
     let result =
-      match Engine.Transport.serve_worker ~in_fd:in_r ~out_fd:out_w ~token () with
+      match
+        Engine.Transport.serve_worker ~in_fd:in_r ~out_fd:out_w ~token
+          ~auth_deadline_s:5.0 ()
+      with
       | () -> Ok ()
       | exception exn -> Error exn
     in
@@ -315,9 +360,10 @@ let suite =
       test_wrong_seq_result_is_a_crash;
     Alcotest.test_case "retry accounting spans respawned workers" `Quick
       test_retries_span_respawned_workers;
-    Alcotest.test_case "handshake resyncs through noise and enforces the \
-                        deadline"
-      `Quick test_handshake_resync_and_deadline;
+    Alcotest.test_case "handshake rejects noise and enforces the deadline"
+      `Quick test_handshake_rejects_noise_and_deadline;
+    Alcotest.test_case "serve_worker drops a silent parent at the deadline"
+      `Quick test_serve_worker_drops_silent_parent;
     Alcotest.test_case "frame IO round-trips" `Quick test_frame_roundtrip;
     Alcotest.test_case "auth preamble gates the protocol" `Quick
       test_auth_preamble;
