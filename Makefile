@@ -61,8 +61,10 @@ bench-serve-smoke:
 # paper grid on all four legs (serial, 2-domain pool, exec:2 fleet,
 # warm disk CAS) and checks every render against the goldens and the
 # serial reference. `serve_ingest` replays a 7-day wire file through
-# `Daemon.run` and checks every posted window against a from-scratch
-# solve. Each exits non-zero if any output is wrong.
+# `Daemon.run` and re-solves every posted window with the same
+# `Retier.t` (`Retier.solve_cold` is `retier`), so it only catches
+# nondeterminism; `make bench-serve-smoke` is the check against the
+# exact quadratic DP. Each exits non-zero if any output is wrong.
 perfbench-smoke:
 	python3 perfbench/run.py --workload grid --seed 1 --seconds 1 --trace 0
 	python3 perfbench/run.py --workload serve_ingest --seed 1 --seconds 1 --trace 0

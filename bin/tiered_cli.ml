@@ -6,7 +6,6 @@
    tiered-cli evaluate NETWORK [--demand ced|logit] [--cost MODEL]
        [--theta T] [--bundles B] [--strategy S] ...
    tiered-cli sweep NETWORK --param alpha|p0|s0 [--strategy S] [--jobs N]
-       [--manifest FILE]
    tiered-cli serve NETWORK [--days D] [--every SECONDS] [--decay KIND] ...
    tiered-cli worker --listen PORT
 
@@ -17,10 +16,9 @@
    submission order, so any --jobs/--backend combination prints
    byte-identical output) and
    --cache persists calibrated workloads / fitted markets in the
-   content-addressed store under _cas/ across invocations. `sweep
-   --manifest FILE` additionally records the grid and each completed
-   cell's artifact digest, so an interrupted sweep resumes computing
-   only the cells whose artifacts the store is missing. *)
+   content-addressed store under _cas/ across invocations. A cell that
+   fails (a raising task, or a fleet worker lost past its retries) is
+   reported on stderr and the command exits 1. *)
 
 open Cmdliner
 open Tiered
@@ -54,6 +52,27 @@ let strategy_conv =
     | exception Invalid_argument msg -> Error (`Msg msg)
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Strategy.name s))
+
+(* Numeric options are validated at parse time, so an out-of-range
+   value is a CLI error (exit 124) instead of a silently different
+   meaning further down. *)
+let nonneg_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 0 -> Ok k
+    | Some _ -> Error (`Msg (Printf.sprintf "must be >= 0, got %s" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0. -> Ok x
+    | Some _ -> Error (`Msg (Printf.sprintf "must be > 0, got %s" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let network_arg =
   Arg.(required & pos 0 (some network_conv) None & info [] ~docv:"NETWORK")
@@ -149,7 +168,7 @@ let worker_retries_arg =
                  task whose worker died is re-executed before the run fails.")
 
 let task_timeout_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float_conv) None
        & info [ "task-timeout" ] ~docv:"SECONDS"
            ~doc:"With --backend remote (or its alias procs): kill and replace \
                  a worker whose task runs longer than $(docv) (the task is \
@@ -167,7 +186,7 @@ let cache_arg =
                  reuse them across runs.")
 
 let cache_max_bytes_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some nonneg_int_conv) None
        & info [ "cache-max-bytes" ] ~docv:"BYTES"
            ~doc:"Bound the on-disk cache tier at $(docv) payload bytes; \
                  least-recently-used artifacts are evicted first. Implies \
@@ -176,6 +195,16 @@ let cache_max_bytes_arg =
 let enable_cache cache max_bytes =
   if cache || max_bytes <> None then
     Engine.Cache.enable_disk ?max_bytes ~dir:"_cas" ()
+
+(* [f] runs a grid on the pool. A cell that fails (its task raised, or
+   its fleet worker was lost past the retries) is reported as [CMD: cell
+   NAME failed: REASON] on stderr and the command exits 1. *)
+let or_cell_failure cmd ~cell_name f =
+  try f ()
+  with Engine.Pool.Task_failed { index; exn; _ } ->
+    Format.eprintf "%s: cell %s failed: %s@." cmd (cell_name index)
+      (Printexc.to_string exn);
+    exit 1
 
 let cost_model_of ~cost ~theta =
   let theta_or default = Option.value ~default theta in
@@ -255,8 +284,12 @@ let run_cmd =
     in
     let metrics = Engine.Metrics.create () in
     let results =
-      Runner.run_experiments ~backend ~retries ?timeout_s ~jobs ?workers
-        ~metrics experiments
+      or_cell_failure "run"
+        ~cell_name:(fun i ->
+          Printf.sprintf "%d (%s)" i (List.nth (Runner.cell_labels experiments) i))
+        (fun () ->
+          Runner.run_experiments ~backend ~retries ?timeout_s ~jobs ?workers
+            ~metrics experiments)
     in
     List.iter
       (fun (r : Runner.result) ->
@@ -360,49 +393,22 @@ let sweep_cmd =
          & opt (some (enum [ ("alpha", `Alpha); ("p0", `P0); ("s0", `S0) ])) None
          & info [ "param" ] ~docv:"P" ~doc:"Parameter to sweep: alpha, p0 or s0.")
   in
-  let manifest_arg =
-    Arg.(value & opt (some string) None
-         & info [ "manifest" ] ~docv:"FILE"
-             ~doc:"Write (or resume) a sweep manifest at $(docv): a \
-                   deterministic grid file naming every cell with its input \
-                   digest, appended with each completed cell's artifact \
-                   digest. On re-invocation only cells whose artifacts are \
-                   missing from the content-addressed store are scheduled; \
-                   the assembled table is byte-identical to an uninterrupted \
-                   serial run. Implies --cache.")
-  in
-  let manifest_chunk_arg =
-    (* Validated at parse time: a negative K must be a CLI error, not
-       silently read as "no chunk limit". *)
-    let nonneg_int =
-      let parse s =
-        match int_of_string_opt s with
-        | Some k when k >= 0 -> Ok k
-        | Some _ -> Error (`Msg "--manifest-chunk must be >= 0")
-        | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt (some nonneg_int) None
-         & info [ "manifest-chunk" ] ~docv:"K"
-             ~doc:"With --manifest: compute at most $(docv) missing cells \
-                   this invocation, then stop (without printing the table \
-                   unless the grid completed). Lets a long sweep run as a \
-                   sequence of resumable slices.")
-  in
   let run network demand s0 strategy param backend retries timeout_s jobs
-      workers cache cache_max_bytes manifest chunk =
+      workers cache cache_max_bytes =
     enable_cache cache cache_max_bytes;
-    let values, fit =
+    let param_name, values, fit =
       match param with
       | `Alpha ->
-          ( Sensitivity.alpha_range ~steps:8 ~lo:1.1 ~hi:10. (),
+          ( "alpha",
+            Sensitivity.alpha_range ~steps:8 ~lo:1.1 ~hi:10. (),
             fun v -> Experiment.market ~alpha:v ~spec:(spec_of ~demand ~s0) network )
       | `P0 ->
-          ( Sensitivity.linear_range ~steps:8 ~lo:5. ~hi:30. (),
+          ( "p0",
+            Sensitivity.linear_range ~steps:8 ~lo:5. ~hi:30. (),
             fun v -> Experiment.market ~p0:v ~spec:(spec_of ~demand ~s0) network )
       | `S0 ->
-          ( Sensitivity.linear_range ~steps:8 ~lo:0.06 ~hi:0.9 (),
+          ( "s0",
+            Sensitivity.linear_range ~steps:8 ~lo:0.06 ~hi:0.9 (),
             fun v -> Experiment.market ~spec:(Market.Logit { s0 = v }) network )
     in
     (* One grid cell per swept value: fit + capture across the bundle
@@ -417,108 +423,25 @@ let sweep_cmd =
                (Sensitivity.capture_at market strategy ~n_bundles:b))
            Experiment.Defaults.bundle_counts
     in
-    let map_cells f cells =
-      Engine.Pool.with_pool ~backend ~retries ?timeout_s ~jobs ?workers
-        (fun pool -> Engine.Pool.map_list pool f cells)
+    let rows =
+      or_cell_failure "sweep"
+        ~cell_name:(fun i ->
+          Printf.sprintf "%d (%s=%g)" i param_name (List.nth values i))
+        (fun () ->
+          Engine.Pool.with_pool ~backend ~retries ?timeout_s ~jobs ?workers
+            (fun pool -> Engine.Pool.map_list pool compute values))
     in
-    let print_table rows =
-      Report.print ppf
-        (Report.make
-           ~title:(Printf.sprintf "capture on %s while sweeping the parameter" network)
-           ~header:("value" :: List.map string_of_int Experiment.Defaults.bundle_counts)
-           rows)
-    in
-    match manifest with
-    | None -> print_table (map_cells compute values)
-    | Some path ->
-        (* The artifact store is the resume source of truth, so the
-           disk tier must be on even without --cache. *)
-        if Engine.Cache.disk_dir () = None then
-          Engine.Cache.enable_disk ?max_bytes:cache_max_bytes ~dir:"_cas" ();
-        let artifacts =
-          Engine.Cache.create ~name:"sweep-cell" ~schema:"sweep-cell/1" ()
-        in
-        let param_name =
-          match param with `Alpha -> "alpha" | `P0 -> "p0" | `S0 -> "s0"
-        in
-        let demand_name =
-          match demand with `Ced -> "ced" | `Logit -> "logit" | `Linear -> "linear"
-        in
-        (* Everything that determines a cell's bytes, in one key. *)
-        let cell_key v =
-          ( "sweep-cell", network, demand_name, s0, Strategy.name strategy,
-            param_name, v, Experiment.Defaults.bundle_counts )
-        in
-        let cells =
-          List.mapi
-            (fun i v ->
-              { Engine.Manifest.index = i;
-                name = Printf.sprintf "%s=%.12g" param_name v;
-                input_digest = Engine.Cache.key_digest (cell_key v) })
-            values
-        in
-        let m =
-          match Engine.Manifest.load_or_create ~path cells with
-          | m -> m
-          | exception Failure msg ->
-              Format.eprintf "sweep: %s@." msg;
-              exit 1
-        in
-        Fun.protect ~finally:(fun () -> Engine.Manifest.close m) @@ fun () ->
-        let varr = Array.of_list values in
-        let restored =
-          Array.map (fun v -> Engine.Cache.disk_get artifacts ~key:(cell_key v))
-            varr
-        in
-        Array.iteri
-          (fun i r ->
-            match r with
-            | Some (_, digest) ->
-                Engine.Manifest.record_done m ~index:i ~artifact:digest
-            | None -> ())
-          restored;
-        let missing =
-          List.filter_map
-            (fun i -> if restored.(i) = None then Some (i, varr.(i)) else None)
-            (List.init (Array.length varr) Fun.id)
-        in
-        let scheduled =
-          match chunk with
-          | Some k -> List.filteri (fun j _ -> j < k) missing
-          | None -> missing
-        in
-        let computed =
-          match scheduled with
-          | [] -> []
-          | scheduled -> map_cells (fun (_, v) -> compute v) scheduled
-        in
-        List.iter2
-          (fun (i, v) row ->
-            match Engine.Cache.disk_put artifacts ~key:(cell_key v) row with
-            | Some digest ->
-                Engine.Manifest.record_done m ~index:i ~artifact:digest
-            | None -> ())
-          scheduled computed;
-        let n = Array.length varr in
-        let n_restored = n - List.length missing in
-        let n_computed = List.length scheduled in
-        let n_remaining = List.length missing - n_computed in
-        Format.eprintf
-          "manifest %s: %d cells, %d restored from the store, %d computed, \
-           %d remaining@."
-          path n n_restored n_computed n_remaining;
-        if n_remaining = 0 then begin
-          let rows = Array.map (fun r -> Option.map fst r) restored in
-          List.iter2 (fun (i, _) row -> rows.(i) <- Some row) scheduled computed;
-          print_table (List.filter_map Fun.id (Array.to_list rows))
-        end
+    Report.print ppf
+      (Report.make
+         ~title:(Printf.sprintf "capture on %s while sweeping the parameter" network)
+         ~header:("value" :: List.map string_of_int Experiment.Defaults.bundle_counts)
+         rows)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep a model parameter and tabulate profit capture.")
     Term.(const run $ network_arg $ demand_arg $ s0_arg $ strategy_arg $ param_arg
           $ backend_arg $ worker_retries_arg $ task_timeout_arg $ jobs_arg
-          $ workers_arg $ cache_arg $ cache_max_bytes_arg $ manifest_arg
-          $ manifest_chunk_arg)
+          $ workers_arg $ cache_arg $ cache_max_bytes_arg)
 
 (* --- trace ----------------------------------------------------------------------- *)
 
@@ -837,7 +760,7 @@ let worker_cmd =
     (Cmd.info "worker"
        ~doc:"Run a standalone fleet worker daemon: listen for a parent \
              driving $(b,--backend remote --workers host:port,…) and serve \
-             its task and artifact frames, one parent connection at a time, \
+             its task frames, one parent connection at a time, \
              forever. In-memory artifact caches stay warm across \
              connections. Listens on loopback unless $(b,--bind) says \
              otherwise; non-loopback binds require a shared secret and a \

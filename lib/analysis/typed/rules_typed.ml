@@ -30,8 +30,8 @@ let default =
     safe_type_heads = [ "Mutex.t"; "Atomic.t"; "Engine.Cache.t" ];
     (* "Engine." deliberately spans the whole execution layer, including
        the Engine.Transport scheduler and the Engine.Remote TCP backend:
-       their select loops, retry state and CAS traffic are internally
-       synchronized, so their Nondet atoms stop at the call boundary. *)
+       their select loops and retry state are internally synchronized,
+       so their Nondet atoms stop at the call boundary. *)
     trusted_prefixes = [ "Engine."; "Tiered.Runner." ];
     sanitizers =
       [

@@ -5,6 +5,15 @@ type result = {
   wall_s : float;
 }
 
+let cell_label (e : Experiment.t) (c : Experiment.cell) =
+  if String.equal c.Experiment.label e.Experiment.id then e.Experiment.id
+  else Printf.sprintf "%s/%s" e.Experiment.id c.Experiment.label
+
+let cell_labels experiments =
+  List.concat_map
+    (fun (e : Experiment.t) -> List.map (cell_label e) (e.Experiment.cells ()))
+    experiments
+
 (* Cells of every experiment are flattened into one task array (in
    experiment order, then cell order — the topological submission
    order) and scheduled on the pool together, so one slow figure's
@@ -84,12 +93,7 @@ let run_experiments ?backend ?retries ?timeout_s ?jobs ?workers ?metrics
             (fun (c : Experiment.cell) ->
               let _, cell_s = outputs.(!cursor) in
               incr cursor;
-              let label =
-                if String.equal c.Experiment.label e.Experiment.id then
-                  e.Experiment.id
-                else Printf.sprintf "%s/%s" e.Experiment.id c.Experiment.label
-              in
-              Engine.Metrics.record m ~label ~wall_s:cell_s)
+              Engine.Metrics.record m ~label:(cell_label e c) ~wall_s:cell_s)
             plans.(i))
         exps)
     metrics;
@@ -124,7 +128,7 @@ let metrics_reports (s : Engine.Metrics.snapshot) =
   let caches =
     Report.make ~title:"Artifact caches"
       ~header:
-        [ "cache"; "hits"; "disk hits"; "remote hits"; "misses"; "hit rate" ]
+        [ "cache"; "hits"; "disk hits"; "misses"; "hit rate" ]
       (Engine.Metrics.cache_rows s)
       ~notes:
         [

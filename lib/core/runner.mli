@@ -43,6 +43,12 @@ val run_experiments :
     surfaces as {!Engine.Pool.Task_failed} with the lowest failing
     cell index. *)
 
+val cell_labels : Experiment.t list -> string list
+(** The label of every cell {!run_experiments} schedules, in
+    submission order (["id"] for a one-cell experiment, else
+    ["id/cell"]): the name of the cell a {!Engine.Pool.Task_failed}
+    index points at. *)
+
 val render : result list -> string
 (** Every table of every result printed with {!Report.print}, in
     order — the canonical byte-comparable form of a run. *)

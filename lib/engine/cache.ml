@@ -7,11 +7,6 @@ type disk_stats = {
   evictions : int;
 }
 
-type remote_tier = {
-  fetch : cache:string -> key_digest:string -> string option;
-  publish : cache:string -> key_digest:string -> payload:string -> unit;
-}
-
 type 'v slot =
   | Ready of 'v
   | In_flight
@@ -26,7 +21,6 @@ type 'v t = {
   table : (string, 'v slot) Hashtbl.t;  (* key digest -> artifact *)
   mutable hits : int;
   mutable disk_hits : int;
-  mutable remote_hits : int;
   mutable misses : int;
 }
 
@@ -37,7 +31,6 @@ let registry : (string * (unit -> stats) * (unit -> unit)) list ref = ref []
 let disk : string option ref = ref None
 let disk_max : int option ref = ref None
 let disk_evictions = ref 0
-let remote : remote_tier option ref = ref None
 
 let with_lock m f =
   Mutex.lock m;
@@ -56,8 +49,6 @@ let disable_disk () =
 
 let disk_dir () = with_lock registry_mutex (fun () -> !disk)
 let disk_max_bytes () = with_lock registry_mutex (fun () -> !disk_max)
-let set_remote_tier rt = with_lock registry_mutex (fun () -> remote := rt)
-let remote_tier () = with_lock registry_mutex (fun () -> !remote)
 
 let register name stats clear =
   with_lock registry_mutex (fun () ->
@@ -82,7 +73,7 @@ let stats t =
       {
         hits = t.hits;
         disk_hits = t.disk_hits;
-        remote_hits = t.remote_hits;
+        remote_hits = 0;
         misses = t.misses;
       })
 
@@ -91,7 +82,6 @@ let clear t =
       Hashtbl.reset t.table;
       t.hits <- 0;
       t.disk_hits <- 0;
-      t.remote_hits <- 0;
       t.misses <- 0)
 
 let create ?(schema = "1") ~name () =
@@ -104,7 +94,6 @@ let create ?(schema = "1") ~name () =
       table = Hashtbl.create 16;
       hits = 0;
       disk_hits = 0;
-      remote_hits = 0;
       misses = 0;
     }
   in
@@ -283,28 +272,27 @@ let ensure_dir dir =
   if not (Sys.file_exists dir) then
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
 
-(* Store raw payload bytes and point [cache]/[key_digest] at the
-   resulting object. Returns the object (content) digest. *)
-let disk_write_payload ~cache key_digest payload =
+(* Store the artifact's payload as an object and point the key at
+   it. Best-effort: a failed write only costs a later recomputation. *)
+let disk_write t digest payload =
   match disk_dir () with
-  | None -> None
+  | None -> ()
   | Some dir -> (
       ensure_dir dir;
       match Cas.write_object ~dir ~payload with
-      | None -> None
+      | None -> ()
       | Some od ->
-          Cas.write_ref ~dir ~cache ~key_digest ~digest:od;
+          Cas.write_ref ~dir ~cache:t.name ~key_digest:digest ~digest:od;
           touch ~dir (Cas.object_path ~dir od);
-          enforce_budget ();
-          Some od)
+          enforce_budget ())
 
-(* Raw payload bytes under a key, if both the reference and a
-   digest-verified object exist. *)
-let raw_payload ~cache ~key_digest =
+(* The artifact under a key, if the reference, a digest-verified object
+   and a payload of this cache's schema all exist. *)
+let disk_read t digest =
   match disk_dir () with
   | None -> None
   | Some dir -> (
-      match Cas.read_ref ~dir ~cache ~key_digest with
+      match Cas.read_ref ~dir ~cache:t.name ~key_digest:digest with
       | None -> None
       | Some od -> (
           match Cas.read_object ~dir od with
@@ -312,20 +300,7 @@ let raw_payload ~cache ~key_digest =
           | Some payload ->
               (* Refresh the LRU stamp: a hit makes the object recent. *)
               touch ~dir (Cas.object_path ~dir od);
-              Some payload))
-
-let store_raw_payload ~cache ~key_digest ~payload =
-  ignore (disk_write_payload ~cache key_digest payload : string option)
-
-let disk_read t digest =
-  match raw_payload ~cache:t.name ~key_digest:digest with
-  | None -> None
-  | Some payload -> of_payload t payload
-
-let disk_write t digest v =
-  match payload_of t v with
-  | None -> None
-  | Some payload -> disk_write_payload ~cache:t.name digest payload
+              of_payload t payload))
 
 let disk_remove t digest =
   (* Only the reference goes: the object may be shared with other keys
@@ -334,57 +309,6 @@ let disk_remove t digest =
   match disk_dir () with
   | None -> ()
   | Some dir -> Cas.remove_ref ~dir ~cache:t.name ~key_digest:digest
-
-(* --- remote tier ---------------------------------------------------------- *)
-
-(* Inside a fleet worker, {!Transport.serve_worker} installs a hook
-   that forwards misses to the parent process over the task channel;
-   everywhere else the hook is [None] and this tier is free. *)
-
-let remote_read t digest =
-  match remote_tier () with
-  | None -> None
-  | Some rt -> (
-      match rt.fetch ~cache:t.name ~key_digest:digest with
-      | None -> None
-      | Some payload -> (
-          match of_payload t payload with
-          | Some v ->
-              (* Adopt the artifact locally so later lookups (and the
-                 LRU budget) see it without another round-trip. *)
-              ignore (disk_write_payload ~cache:t.name digest payload : string option);
-              Some v
-          | None -> None))
-
-let remote_publish t digest payload =
-  match remote_tier () with
-  | None -> ()
-  | Some rt -> (
-      (* Best-effort: a parent that died mid-publish already costs the
-         worker its connection; the computed value is still good. *)
-      try rt.publish ~cache:t.name ~key_digest:digest ~payload
-      with End_of_file | Unix.Unix_error _ | Sys_error _ -> ())
-
-(* --- manifest support ----------------------------------------------------- *)
-
-let disk_get t ~key =
-  match disk_dir () with
-  | None -> None
-  | Some dir -> (
-      let kd = key_digest key in
-      match Cas.read_ref ~dir ~cache:t.name ~key_digest:kd with
-      | None -> None
-      | Some od -> (
-          match Cas.read_object ~dir od with
-          | None -> None
-          | Some payload -> (
-              match of_payload t payload with
-              | Some v ->
-                  touch ~dir (Cas.object_path ~dir od);
-                  Some (v, od)
-              | None -> None)))
-
-let disk_put t ~key v = disk_write t (key_digest key) v
 
 (* --- lookup -------------------------------------------------------------- *)
 
@@ -417,14 +341,11 @@ let find_or_add t ~key compute =
         match disk_read t digest with
         | Some v -> Ok (v, `Disk)
         | None -> (
-            match remote_read t digest with
-            | Some v -> Ok (v, `Remote)
-            | None -> (
-                match compute () with
-                | v -> Ok ((v : _), `Fresh)
-                | exception exn ->
-                    let bt = Printexc.get_raw_backtrace () in
-                    Error (exn, bt)))
+            match compute () with
+            | v -> Ok ((v : _), `Fresh)
+            | exception exn ->
+                let bt = Printexc.get_raw_backtrace () in
+                Error (exn, bt))
       in
       Mutex.lock t.mutex;
       (match outcome with
@@ -432,7 +353,6 @@ let find_or_add t ~key compute =
           Hashtbl.replace t.table digest (Ready v);
           (match src with
           | `Disk -> t.disk_hits <- t.disk_hits + 1
-          | `Remote -> t.remote_hits <- t.remote_hits + 1
           | `Fresh -> t.misses <- t.misses + 1)
       | Error _ ->
           (* Release the claim so waiters retry (and re-raise in their
@@ -442,19 +362,12 @@ let find_or_add t ~key compute =
       Mutex.unlock t.mutex;
       match outcome with
       | Ok (v, `Fresh) ->
-          (* Marshal only when some tier will take the bytes: with the
-             disk tier off and no remote hook the payload would be
-             built and dropped. *)
-          if Option.is_some (disk_dir ()) || Option.is_some (remote_tier ()) then (
-            match payload_of t v with
-            | None -> ()
-            | Some payload ->
-                ignore
-                  (disk_write_payload ~cache:t.name digest payload
-                    : string option);
-                remote_publish t digest payload);
+          (* Marshal only when the disk tier will take the bytes: with
+             it off the payload would be built and dropped. *)
+          if Option.is_some (disk_dir ()) then
+            Option.iter (disk_write t digest) (payload_of t v);
           v
-      | Ok (v, (`Disk | `Remote)) -> v
+      | Ok (v, `Disk) -> v
       | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt)
 
 module Private = struct
@@ -464,11 +377,6 @@ module Private = struct
     match payload_of t v with
     | Some payload -> Cas.digest_hex payload
     | None -> invalid_arg "Cache.Private.payload_digest: unmarshalable artifact"
-
-  let payload_of_value t v =
-    match payload_of t v with
-    | Some payload -> payload
-    | None -> invalid_arg "Cache.Private.payload_of_value: unmarshalable artifact"
 end
 
 let invalidate t ~key =

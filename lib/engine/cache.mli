@@ -6,7 +6,7 @@
     alpha, p0, cost model, theta, seed, … — digested to a fixed-size
     identifier, so call sites never hand-build string keys.
 
-    Three tiers:
+    Two tiers:
     - an in-memory tier (domain-safe hash table) that returns the
       {e physically} same artifact on repeat lookups;
     - an optional on-disk tier — a {e content-addressed store} (see
@@ -18,12 +18,9 @@
       occupy one object. Payloads carry a per-cache schema version
       stamp: a payload written under a different schema is ignored and
       recomputed. Objects are digest-verified on read and corrupt ones
-      self-repair (removed, reported as a miss);
-    - an optional {e remote} tier: inside a fleet worker,
-      {!Transport.serve_worker} installs a {!remote_tier} hook that
-      forwards misses to the parent process over the worker's task
-      channel and publishes fresh artifacts back, so a cell computed
-      on one host is never recomputed on another.
+      self-repair (removed, reported as a miss). Fleet workers
+      started with the parent's disk configuration
+      ({!Transport.worker_config}) share the same directory.
 
     The disk tier is off by default and switched on globally with
     {!enable_disk} (the CLI's [--cache] flag). Corrupt or unreadable
@@ -49,7 +46,9 @@ type stats = {
   hits : int;  (** in-memory tier hits *)
   disk_hits : int;  (** disk tier hits (memory tier missed) *)
   remote_hits : int;
-      (** artifacts fetched from the parent over the worker channel *)
+      (** Always [0]: there is no remote tier. Kept only because the
+          repository benchmark ([perfbench/grid.ml]) reads it; it goes
+          with the next benchmark change. *)
   misses : int;  (** every tier missed: the artifact was computed *)
 }
 
@@ -60,13 +59,6 @@ type disk_stats = {
   evictions : int;  (** objects evicted since {!enable_disk} *)
 }
 
-type remote_tier = {
-  fetch : cache:string -> key_digest:string -> string option;
-      (** raw payload bytes for a key, or [None] *)
-  publish : cache:string -> key_digest:string -> payload:string -> unit;
-      (** offer a freshly computed payload to the far side *)
-}
-
 val create : ?schema:string -> name:string -> unit -> 'v t
 (** A new cache holding artifacts of one type. [name] namespaces disk
     references and labels the cache in {!all_stats}; [schema] (default
@@ -75,8 +67,7 @@ val create : ?schema:string -> name:string -> unit -> 'v t
     {!all_stats} / {!clear_all}. *)
 
 val find_or_add : 'v t -> key:'k -> (unit -> 'v) -> 'v
-(** Memory tier, then disk tier (when enabled), then remote tier (when
-    hooked), then compute — and populate the tiers that missed. A
+(** Memory tier, then disk tier (when enabled), then compute — and populate the tiers that missed. A
     missing key is claimed before computing: concurrent lookups of the
     same key block on the single in-flight computation instead of
     duplicating it, so every artifact is computed once and repeat
@@ -126,41 +117,6 @@ val clear_all : unit -> unit
 (** {!clear} every registered cache and reset its counters (used to
     re-run a grid cold, e.g. for serial-vs-parallel benchmarks). *)
 
-(** {2 Remote tier} *)
-
-val set_remote_tier : remote_tier option -> unit
-(** Install (or remove) the process-wide remote tier hook. Installed
-    by {!Transport.serve_worker} for the duration of a worker
-    connection; [None] everywhere else. *)
-
-(** {2 Raw payload access}
-
-    The parent side of the worker CAS channel ({!Transport.Store})
-    answers fetches with payload bytes without knowing artifact types. *)
-
-val raw_payload : cache:string -> key_digest:string -> string option
-(** The payload bytes a key points at, digest-verified; [None] when
-    the disk tier is off or the key is absent. Refreshes the object's
-    LRU stamp. *)
-
-val store_raw_payload : cache:string -> key_digest:string -> payload:string -> unit
-(** Store payload bytes under their content digest and point the key
-    at them. No-op when the disk tier is off. *)
-
-(** {2 Manifest support}
-
-    Direct disk-tier probes used by resumable sweep manifests: decide
-    whether a cell's artifact is already in the CAS without running
-    the compute path (no counters are touched). *)
-
-val disk_get : 'v t -> key:'k -> ('v * string) option
-(** The artifact and its content digest, when the disk tier holds a
-    schema-valid payload for [key]. *)
-
-val disk_put : 'v t -> key:'k -> 'v -> string option
-(** Write an artifact for [key]; returns its content digest ([None]
-    when the disk tier is off or the write failed). *)
-
 (** {2 Test hooks} *)
 
 module Private : sig
@@ -174,9 +130,4 @@ module Private : sig
   val payload_digest : 'v t -> 'v -> string
   (** The content digest the disk tier would store this artifact
       under (schema-stamped payload bytes hashed). For tests. *)
-
-  val payload_of_value : 'v t -> 'v -> string
-  (** The exact schema-stamped payload bytes the disk tier would
-      store — what a pre-seeded {!Transport.Store} must hold for a
-      remote worker's fetch of this artifact to succeed. For tests. *)
 end

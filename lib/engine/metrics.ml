@@ -152,13 +152,12 @@ let gc_rows (s : snapshot) =
 let cache_rows s =
   List.map
     (fun (name, (c : Cache.stats)) ->
-      let served = c.Cache.hits + c.Cache.disk_hits + c.Cache.remote_hits in
+      let served = c.Cache.hits + c.Cache.disk_hits in
       let lookups = served + c.Cache.misses in
       [
         name;
         string_of_int c.Cache.hits;
         string_of_int c.Cache.disk_hits;
-        string_of_int c.Cache.remote_hits;
         string_of_int c.Cache.misses;
         (if lookups > 0 then
            Printf.sprintf "%.1f%%"
@@ -248,9 +247,8 @@ let to_json (s : snapshot) =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    {\"name\": \"%s\", \"hits\": %d, \"disk_hits\": %d, \
-            \"remote_hits\": %d, \"misses\": %d}"
-           (json_escape name) c.Cache.hits c.Cache.disk_hits c.Cache.remote_hits
-           c.Cache.misses))
+            \"misses\": %d}"
+           (json_escape name) c.Cache.hits c.Cache.disk_hits c.Cache.misses))
     s.caches;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

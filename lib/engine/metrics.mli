@@ -86,8 +86,7 @@ val gc_rows : snapshot -> string list list
     was recorded. *)
 
 val cache_rows : snapshot -> string list list
-(** One row per cache: name, hits, disk hits, remote hits, misses,
-    hit rate. *)
+(** One row per cache: name, hits, disk hits, misses, hit rate. *)
 
 val to_json : snapshot -> string
 (** Self-contained JSON object (no external dependency). *)

@@ -1,5 +1,13 @@
 exception Task_failed of { index : int; exn : exn; backtrace : string }
 
+let () =
+  Printexc.register_printer (function
+    | Task_failed { index; exn; _ } ->
+        Some
+          (Printf.sprintf "Engine.Pool.Task_failed: task %d failed: %s" index
+             (Printexc.to_string exn))
+    | _ -> None)
+
 type backend = Domains | Remote
 
 let backend_name = function Domains -> "domains" | Remote -> "remote"

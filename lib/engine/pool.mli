@@ -21,8 +21,7 @@
       frames ({!Transport}); crashing or wedged workers are detected
       (EOF / per-task timeout), their in-flight task is requeued on a
       surviving worker with bounded [retries], and the dead worker is
-      replaced with backoff. Idle workers steal the tail, and a CAS
-      side-channel lets workers share artifacts by digest. Requires
+      replaced with backoff. Idle workers steal the tail. Requires
       every entry point to call {!Remote.maybe_run_worker} first;
       degrades to the domain backend when no worker comes up (see
       {!backend} for the backend actually in use).
@@ -46,7 +45,8 @@ exception Task_failed of { index : int; exn : exn; backtrace : string }
     index, so the failure surfaced is deterministic. Under the
     {!Remote} backend [exn] is {!Remote.Remote_failure} (the task
     raised in a worker — not retried) or {!Remote.Worker_lost} (the
-    worker died and bounded retries were exhausted). *)
+    worker died and bounded retries were exhausted). A [Printexc]
+    printer names the index and the printed [exn]. *)
 
 val default_jobs : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]. *)

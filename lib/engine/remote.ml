@@ -3,8 +3,7 @@
    This module is only the socket transport: listeners, connects,
    loopback exec launching and child reaping. The frame protocol,
    auth and handshake, crash recovery, bounded retries, per-task
-   timeouts, work stealing and the CAS side-channel all live in
-   {!Transport}.
+   timeouts and work stealing all live in {!Transport}.
 
    Two launch modes:
    - [Exec n]: the parent binds an ephemeral loopback listener and
@@ -100,7 +99,7 @@ let spec_workers = function Exec n -> max 1 n | Addrs l -> List.length l
 
 let set_nodelay sock =
   (* Frames are small and request/response-shaped; Nagle would add
-     40ms hiccups to every CAS round-trip. *)
+     40ms hiccups to every task round-trip. *)
   try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
 let resolve host =
@@ -469,7 +468,6 @@ let create ?(retries = 2) ?timeout_s ?token spec =
 let workers t = Transport.workers t.sched
 let restarts t = Transport.restarts t.sched
 let busy_times t = Transport.busy_times t.sched
-let store t = Transport.store t.sched
 let map t f tasks = Transport.map t.sched f tasks
 
 let shutdown t =

@@ -17,9 +17,8 @@
       replaced by one reconnect attempt to the same address.
 
     Everything above the sockets — framing, auth and handshake, crash
-    recovery with bounded retries, per-task timeouts, work stealing,
-    local draining, and the CAS side-channel through which workers
-    fetch/publish artifacts by digest — is {!Transport}. Task
+    recovery with bounded retries, per-task timeouts, work stealing
+    and local draining — is {!Transport}. Task
     semantics: at-least-once execution, exactly-once result merging
     in submission order, byte-identical rendered output.
 
@@ -110,11 +109,6 @@ val create : ?retries:int -> ?timeout_s:float -> ?token:string -> spec -> t
 val workers : t -> int
 val restarts : t -> int
 val busy_times : t -> float array
-
-val store : t -> Transport.Store.t
-(** The parent-side artifact store answering the fleet's CAS frames —
-    exposed so callers and tests can pre-seed artifacts workers will
-    fetch by digest. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> ('b, exn * string) result array
 (** Same contract as {!Transport.map}. *)

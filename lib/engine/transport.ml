@@ -8,22 +8,18 @@
      2. [down] frames: tasks ([(index, thunk)] marshalled with
         [Marshal.Closures] — valid because worker and parent run the
         same executable image, which the unmarshaller checks against
-        the code-segment digest) and CAS-fetch replies.
+        the code-segment digest).
    Frames from worker to parent:
      1. a magic byte-string, then one "ready" handshake frame carrying
         the shared token back (this is also how spawn/connect failures
         are detected: a peer that dies before the handshake reads as
         EOF and the transport reports Spawn_failure);
      2. [up] frames: task results ([(index, (Ok value | Error
-        (printed_exn, bt)))]) and CAS traffic ([Cas_get] blocks the
-        worker until the parent's reply; [Cas_put] is fire-and-forget).
+        (printed_exn, bt)))]).
 
-   CAS frames can only interleave with task frames in one safe order:
-   the parent never dispatches to a worker with a job in flight, and an
-   idle worker has no running task to issue CAS requests from — so the
-   only down-frame a busy worker can receive is the reply to its own
-   [Cas_get], and the worker-side blocking read in the fetch hook
-   cannot swallow a task.
+   Frames never interleave: the parent never dispatches to a worker
+   with a job in flight, and a worker sends exactly one result frame
+   per task frame, so each direction is a strict alternation.
 
    The protocol channel is a socket the worker owns alone (its stdout
    is not part of it), so the stream needs no resynchronization: the
@@ -43,6 +39,17 @@ exception Remote_failure of { message : string }
 exception Worker_lost of { attempts : int; reason : string }
 exception Frame_too_large of { bytes : int }
 exception Auth_failure
+
+let () =
+  Printexc.register_printer (function
+    | Remote_failure { message } ->
+        Some ("Engine.Transport.Remote_failure: task raised " ^ message)
+    | Worker_lost { attempts; reason } ->
+        Some
+          (Printf.sprintf
+             "Engine.Transport.Worker_lost: worker lost after %d attempt(s): %s"
+             attempts reason)
+    | _ -> None)
 
 let now = Unix.gettimeofday
 
@@ -159,15 +166,8 @@ type worker_config = { disk_dir : string option; disk_max : int option }
    because exception identity does not survive unmarshalling. *)
 type wire_result = (Obj.t, string * string) result
 
-type down =
-  | Task of int * (unit -> Obj.t)
-  | Cas_found of string
-  | Cas_missing
-
-type up =
-  | Result of int * wire_result
-  | Cas_get of string * string
-  | Cas_put of string * string * string
+type down = Task of int * (unit -> Obj.t)
+type up = Result of int * wire_result
 
 let current_config () =
   { disk_dir = Cache.disk_dir (); disk_max = Cache.disk_max_bytes () }
@@ -214,73 +214,43 @@ let serve_worker ~in_fd ~out_fd ~token ~auth_deadline_s () =
   (match config.disk_dir with
   | Some dir -> Cache.enable_disk ?max_bytes:config.disk_max ~dir ()
   | None -> Cache.disable_disk ());
-  (* Route cache misses through the parent: the parent answers from its
-     CAS (or its in-memory artifact store), so a cell computed by any
-     worker in the fleet is never recomputed by another. *)
-  Cache.set_remote_tier
-    (Some
-       {
-         Cache.fetch =
-           (fun ~cache ~key_digest ->
-             write_frame out_fd
-               (Marshal.to_string (Cas_get (cache, key_digest))
-                  [ Marshal.Closures ]);
-             match (Marshal.from_string (read_frame in_fd) 0 : down) with
-             | Cas_found payload -> Some payload
-             | Cas_missing -> None
-             | Task _ -> failwith "task frame received during CAS fetch");
-         Cache.publish =
-           (fun ~cache ~key_digest ~payload ->
-             write_frame out_fd
-               (Marshal.to_string
-                  (Cas_put (cache, key_digest, payload))
-                  [ Marshal.Closures ]));
-       });
-  Fun.protect
-    ~finally:(fun () -> Cache.set_remote_tier None)
-    (fun () ->
-      write_all out_fd (Bytes.unsafe_of_string magic) 0 (String.length magic);
-      write_frame out_fd ("ready" ^ token);
-      let rec loop () =
-        match read_frame in_fd with
-        | exception End_of_file -> ()
-        | frame ->
-            (match (Marshal.from_string frame 0 : down) with
-            | Task (seq, thunk) ->
-                let outcome : wire_result =
-                  match thunk () with
-                  | v -> Ok v
-                  | exception exn ->
-                      Error (Printexc.to_string exn, Printexc.get_backtrace ())
-                in
-                let payload =
-                  Marshal.to_string (Result (seq, outcome)) [ Marshal.Closures ]
-                in
-                let payload =
-                  (* An oversize result must fail the task, not tear the
-                     stream: report it as a deterministic task error. *)
-                  if String.length payload <= max_frame_bytes then payload
-                  else
-                    Marshal.to_string
-                      (Result
-                         ( seq,
-                           (Error
-                              ( Printf.sprintf
-                                  "task result frame of %d bytes exceeds the \
-                                   %d-byte frame cap"
-                                  (String.length payload) max_frame_bytes,
-                                "" )
-                             : wire_result) ))
-                      [ Marshal.Closures ]
-                in
-                write_frame out_fd payload
-            | Cas_found _ | Cas_missing ->
-                (* A CAS reply with no fetch outstanding: stale frame
-                   from a resynchronized stream; drop it. *)
-                ());
-            loop ()
-      in
-      loop ())
+  write_all out_fd (Bytes.unsafe_of_string magic) 0 (String.length magic);
+  write_frame out_fd ("ready" ^ token);
+  let rec loop () =
+    match read_frame in_fd with
+    | exception End_of_file -> ()
+    | frame ->
+        let (Task (seq, thunk)) = (Marshal.from_string frame 0 : down) in
+        let outcome : wire_result =
+          match thunk () with
+          | v -> Ok v
+          | exception exn ->
+              Error (Printexc.to_string exn, Printexc.get_backtrace ())
+        in
+        let payload =
+          Marshal.to_string (Result (seq, outcome)) [ Marshal.Closures ]
+        in
+        let payload =
+          (* An oversize result must fail the task, not tear the
+             stream: report it as a deterministic task error. *)
+          if String.length payload <= max_frame_bytes then payload
+          else
+            Marshal.to_string
+              (Result
+                 ( seq,
+                   (Error
+                      ( Printf.sprintf
+                          "task result frame of %d bytes exceeds the %d-byte \
+                           frame cap"
+                          (String.length payload) max_frame_bytes,
+                        "" )
+                     : wire_result) ))
+              [ Marshal.Closures ]
+        in
+        write_frame out_fd payload;
+        loop ()
+  in
+  loop ()
 
 (* --- parent-side handshake ------------------------------------------------- *)
 
@@ -304,42 +274,6 @@ let handshake ~deadline_s ~token fd =
   let len = Int32.to_int (String.get_int32_be (read 4) 0) in
   if len <> String.length ready || not (const_time_equal (read len) ready) then
     bad ()
-
-(* --- parent-side artifact store -------------------------------------------- *)
-
-module Store = struct
-  (* Where [Cas_get]/[Cas_put] frames land. Disk-backed through
-     {!Cache}'s CAS when a disk tier is configured; otherwise a
-     bounded in-memory table so workers still share artifacts within
-     one parent process. Accessed only from the single-threaded
-     scheduler loop. *)
-
-  let mem_budget = 256 * 1024 * 1024
-
-  type t = { mem : (string, string) Hashtbl.t; mutable bytes : int }
-
-  let create () = { mem = Hashtbl.create 64; bytes = 0 }
-  let slot ~cache ~key_digest = cache ^ "\000" ^ key_digest
-
-  let get t ~cache ~key_digest =
-    match Cache.raw_payload ~cache ~key_digest with
-    | Some _ as hit -> hit
-    | None -> Hashtbl.find_opt t.mem (slot ~cache ~key_digest)
-
-  let put t ~cache ~key_digest ~payload =
-    if Option.is_some (Cache.disk_dir ()) then
-      Cache.store_raw_payload ~cache ~key_digest ~payload
-    else begin
-      let s = slot ~cache ~key_digest in
-      if
-        (not (Hashtbl.mem t.mem s))
-        && t.bytes + String.length payload <= mem_budget
-      then begin
-        Hashtbl.replace t.mem s payload;
-        t.bytes <- t.bytes + String.length payload
-      end
-    end
-end
 
 (* --- scheduler ------------------------------------------------------------- *)
 
@@ -374,7 +308,6 @@ type sched = {
          exponential backoff and retried from [map] while work is
          pending, so the slot is recovered instead of silently lost. *)
   s_respawn_backoff : float array;
-  s_store : Store.t;
   mutable s_restarts : int;
   mutable s_shut : bool;
 }
@@ -392,7 +325,6 @@ let make_sched ?(retries = 2) ?timeout_s ?(steal_after = 1.0) ~respawn
     s_respawn = respawn;
     s_respawn_at = Array.make n Float.infinity;
     s_respawn_backoff = Array.make n 1.0;
-    s_store = Store.create ();
     s_restarts = 0;
     s_shut = false;
   }
@@ -400,7 +332,6 @@ let make_sched ?(retries = 2) ?timeout_s ?(steal_after = 1.0) ~respawn
 let workers t = t.s_n
 let restarts t = t.s_restarts
 let busy_times t = Array.copy t.s_busy
-let store t = t.s_store
 
 let map (type a b) t (f : a -> b) (tasks : a array) :
     (b, exn * string) result array =
@@ -508,12 +439,6 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
             | None -> if now () >= t.s_respawn_at.(si) then try_respawn si)
           t.s_slots
     in
-    let cas_reply w hit =
-      let frame =
-        match hit with Some p -> Cas_found p | None -> Cas_missing
-      in
-      write_frame w.ep.ep_send (Marshal.to_string frame [ Marshal.Closures ])
-    in
     let receive si w =
       match read_frame w.ep.ep_recv with
       | exception End_of_file -> handle_crash si w "worker exited (EOF)"
@@ -537,18 +462,7 @@ let map (type a b) t (f : a -> b) (tasks : a array) :
               | _ ->
                   (* A frame for a task we no longer track: the protocol
                      is out of sync, drop the worker. *)
-                  handle_crash si w "protocol mismatch")
-          | Cas_get (cache, key_digest) -> (
-              match cas_reply w (Store.get t.s_store ~cache ~key_digest) with
-              | () -> ()
-              | exception (Unix.Unix_error _ | Sys_error _ | Frame_too_large _)
-                ->
-                  (* The worker is blocked waiting on this reply; if it
-                     cannot be delivered, the only safe move is to drop
-                     the worker and retry its task elsewhere. *)
-                  handle_crash si w "CAS reply failed")
-          | Cas_put (cache, key_digest, payload) ->
-              Store.put t.s_store ~cache ~key_digest ~payload)
+                  handle_crash si w "protocol mismatch"))
     in
     let next_pending () =
       let rec go () =

@@ -9,9 +9,7 @@
     (speculative tail duplication: idle workers re-run the oldest
     in-flight task once the queue drains, so one slow host cannot
     serialize the tail; first result wins and merging stays
-    exactly-once), local draining when every worker is gone, and the
-    CAS side-channel that lets workers fetch and publish artifacts by
-    digest over their task connection.
+    exactly-once), and local draining when every worker is gone.
 
     Tasks must be pure (or idempotent): crash recovery and stealing
     both re-execute tasks, i.e. the scheduler provides at-least-once
@@ -31,7 +29,9 @@ exception Remote_failure of { message : string }
 exception Worker_lost of { attempts : int; reason : string }
 (** A worker died (EOF / SIGKILL / timeout / corrupt frames) while
     running the task and the bounded retries were exhausted;
-    [attempts] counts executions that ended in a crash. *)
+    [attempts] counts executions that ended in a crash. This exception
+    and {!Remote_failure} have [Printexc] printers naming their
+    fields. *)
 
 exception Frame_too_large of { bytes : int }
 (** A frame payload exceeded {!max_frame_bytes}. Raised by
@@ -95,17 +95,8 @@ val write_config : Unix.file_descr -> unit
 
 type wire_result = (Obj.t, string * string) result
 
-type down =
-  | Task of int * (unit -> Obj.t)
-  | Cas_found of string
-  | Cas_missing
-      (** Parent-to-worker frames: task dispatch and CAS-fetch replies. *)
-
-type up =
-  | Result of int * wire_result
-  | Cas_get of string * string  (** [(cache, key_digest)]: blocking fetch *)
-  | Cas_put of string * string * string
-      (** [(cache, key_digest, payload)]: fire-and-forget publish *)
+type down = Task of int * (unit -> Obj.t)  (** Parent-to-worker frame. *)
+type up = Result of int * wire_result  (** Worker-to-parent frame. *)
 
 val serve_worker :
   in_fd:Unix.file_descr ->
@@ -118,12 +109,9 @@ val serve_worker :
     verify the parent's auth preamble against [token] (raises
     {!Auth_failure} on mismatch, or when the preamble has not fully
     arrived within [auth_deadline_s] seconds, before unmarshalling
-    anything), read the config frame, configure the disk cache,
-    install the {!Cache.remote_tier} hook that forwards cache misses
-    to the parent as [Cas_get]/[Cas_put] frames, emit [magic] + the
-    ready frame, then serve task frames until EOF (returns normally;
-    the caller decides the exit). The remote-tier hook is uninstalled
-    on the way out. *)
+    anything), read the config frame, configure the disk cache, emit
+    [magic] + the ready frame, then serve task frames until EOF
+    (returns normally; the caller decides the exit). *)
 
 (** {1 Parent side} *)
 
@@ -143,17 +131,6 @@ type endpoint = {
       (** release everything the endpoint holds, gracefully where
           possible; crash paths run [ep_kill] first *)
 }
-
-(** Parent-side artifact store answering workers' CAS frames:
-    disk-backed through {!Cache}'s content-addressed tier when one is
-    configured, otherwise a bounded in-memory table. *)
-module Store : sig
-  type t
-
-  val create : unit -> t
-  val get : t -> cache:string -> key_digest:string -> string option
-  val put : t -> cache:string -> key_digest:string -> payload:string -> unit
-end
 
 type sched
 
@@ -195,10 +172,6 @@ val shutdown : sched -> unit
 val workers : sched -> int
 val restarts : sched -> int
 val busy_times : sched -> float array
-
-val store : sched -> Store.t
-(** The scheduler's artifact store — exposed so callers (and tests)
-    can pre-seed artifacts workers will fetch by digest. *)
 
 (** {1 Process helpers for endpoints} *)
 

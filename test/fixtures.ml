@@ -18,6 +18,12 @@ let default_spec =
 
 let flows () = flows_of_spec default_spec
 
+(* Substring test for checking printed messages and JSON. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let ced_market ?(alpha = 1.1) ?(p0 = 20.) ?(theta = 0.2) ?flows:f () =
   let flows = match f with Some f -> f | None -> flows () in
   Market.fit ~spec:Market.Ced ~alpha ~p0

@@ -102,6 +102,16 @@ let temp_cache_dir () =
   Sys.mkdir f 0o755;
   f
 
+(* Read and plant payloads straight through the content-addressed
+   store, bypassing [Engine.Cache] (no LRU stamps, no counters). *)
+let cas_payload ~dir ~cache ~key_digest =
+  Option.bind (Engine.Cas.read_ref ~dir ~cache ~key_digest) (Engine.Cas.read_object ~dir)
+
+let plant_payload ~dir ~cache ~key_digest payload =
+  match Engine.Cas.write_object ~dir ~payload with
+  | Some digest -> Engine.Cas.write_ref ~dir ~cache ~key_digest ~digest
+  | None -> Alcotest.fail "could not plant the payload"
+
 (* Byte count of the payload files actually on disk — an independent
    check of the engine's own accounting. *)
 let scan_payload_bytes dir =
@@ -112,10 +122,9 @@ let scan_payload_bytes dir =
       else acc)
     0 (Sys.readdir dir)
 
-(* With the disk tier off and no remote hook, a fresh miss builds no
-   payload at all (the marshal would be thrown away) and writes
-   nothing; once the disk tier is on, the next fresh miss still lands
-   in the CAS. *)
+(* With the disk tier off, a fresh miss builds no payload at all (the
+   marshal would be thrown away) and writes nothing; once the disk tier
+   is on, the next fresh miss still lands in the CAS. *)
 let test_cache_tiers_off_skip_marshal () =
   let dir = temp_cache_dir () in
   Engine.Cache.disable_disk ();
@@ -134,11 +143,17 @@ let test_cache_tiers_off_skip_marshal () =
   Alcotest.(check int) "nothing written" 0 (scan_payload_bytes dir);
   Alcotest.(check bool) "no reference for the tiers-off miss" true
     (Option.is_none
-       (Engine.Cache.raw_payload ~cache:"test-tiers-off"
+       (cas_payload ~dir ~cache:"test-tiers-off"
           ~key_digest:(Engine.Cache.key_digest "off")));
   let v = Engine.Cache.find_or_add cache ~key:"on" (fun () -> [| 2.5 |]) in
-  match Engine.Cache.disk_get cache ~key:"on" with
-  | Some (stored, _) -> Alcotest.(check (array (float 0.))) "fresh miss in the CAS" v stored
+  match
+    cas_payload ~dir ~cache:"test-tiers-off"
+      ~key_digest:(Engine.Cache.key_digest "on")
+  with
+  | Some payload ->
+      let stamp, stored = (Marshal.from_string payload 0 : string * float array) in
+      Alcotest.(check string) "schema stamp" "v1" stamp;
+      Alcotest.(check (array (float 0.))) "fresh miss in the CAS" v stored
   | None -> Alcotest.fail "fresh miss after enable_disk did not reach the CAS"
 
 (* The market/2 payload layout: [Market.t] before its memo grew the
@@ -197,9 +212,9 @@ let test_stale_market_schema_recomputed () =
     }
   in
   let stale_payload = Marshal.to_string ("market/2", stale) [] in
-  Engine.Cache.store_raw_payload ~cache:"market" ~key_digest ~payload:stale_payload;
+  plant_payload ~dir ~cache:"market" ~key_digest stale_payload;
   Alcotest.(check (option string)) "stale payload planted" (Some stale_payload)
-    (Engine.Cache.raw_payload ~cache:"market" ~key_digest);
+    (cas_payload ~dir ~cache:"market" ~key_digest);
   let counts () = List.assoc "market" (Engine.Cache.all_stats ()) in
   let before = counts () in
   let m = Experiment.market ~alpha ~spec network in
@@ -212,7 +227,7 @@ let test_stale_market_schema_recomputed () =
     m.Market.valuations;
   Alcotest.(check (array int)) "memo of today's shape"
     (Market.profit_order fresh) (Market.profit_order m);
-  match Engine.Cache.raw_payload ~cache:"market" ~key_digest with
+  match cas_payload ~dir ~cache:"market" ~key_digest with
   | Some payload ->
       let stamp, _ = (Marshal.from_string payload 0 : string * Market.t) in
       Alcotest.(check string) "key now points at a fresh payload" "market/3" stamp
@@ -237,14 +252,8 @@ let test_metrics_gc_delta () =
         (g.Engine.Metrics.minor_collections > 0));
   Alcotest.(check int) "four GC rows" 4 (List.length (Engine.Metrics.gc_rows snap));
   let json = Engine.Metrics.to_json snap in
-  let contains sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length json && (String.equal (String.sub json i n) sub || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "gc object in the JSON" true (contains "\"gc\": {\"minor_words\": ");
+  Alcotest.(check bool) "gc object in the JSON" true
+    (Fixtures.contains json "\"gc\": {\"minor_words\": ");
   Alcotest.(check bool) "no GC delta without a run" true
     (Option.is_none (Engine.Metrics.snapshot (Engine.Metrics.create ())).Engine.Metrics.gc)
 

@@ -51,7 +51,6 @@ let () =
       ("engine", Test_engine.suite);
       ("engine.transport", Test_transport.suite);
       ("engine.remote", Test_remote.suite);
-      ("engine.manifest", Test_manifest.suite);
       ("golden", Test_golden.suite);
       ("flowgen.loading", Test_loading.suite);
       ("flowgen.trace", Test_trace.suite);

@@ -2,7 +2,7 @@
    loopback workers (this test binary re-invokes itself through
    --engine-remote-worker=connect:…; Test_main calls
    Remote.maybe_run_worker first): byte-identity, crash recovery,
-   retries, task failures and timeouts, the CAS side-channel and the
+   retries, task failures and timeouts, the shared disk CAS and the
    standalone daemon. *)
 
 open Tiered
@@ -74,8 +74,19 @@ let test_remote_retry_exhaustion () =
       | exception Engine.Pool.Task_failed { index; exn; _ } -> (
           Alcotest.(check int) "deterministic failing index" 1 index;
           match exn with
-          | Engine.Remote.Worker_lost { attempts; _ } ->
-              Alcotest.(check int) "retries=1 means two attempts" 2 attempts
+          | Engine.Remote.Worker_lost { attempts; reason } ->
+              Alcotest.(check int) "retries=1 means two attempts" 2 attempts;
+              (* The printer names the index, the attempts and the
+                 worker-loss reason. *)
+              let printed =
+                Printexc.to_string
+                  (Engine.Pool.Task_failed { index; exn; backtrace = "" })
+              in
+              List.iter
+                (fun sub ->
+                  if not (Fixtures.contains printed sub) then
+                    Alcotest.failf "%S does not name %S" printed sub)
+                [ "task 1"; "2 attempt"; reason ]
           | other ->
               Alcotest.failf "expected Worker_lost, got %s"
                 (Printexc.to_string other)))
@@ -136,61 +147,36 @@ let test_remote_timeout_replaces_wedged_worker () =
       Alcotest.(check bool) "wedged worker replaced" true
         (Engine.Pool.restarts pool >= 1))
 
-(* (e) The CAS side-channel: a worker that misses an artifact fetches
-   it from the parent's store by digest over its task connection. The
-   parent store is pre-seeded with the marshalled payload; the task's
-   compute function raises, so only a successful remote fetch can
-   produce the value. *)
-let test_remote_cas_fetch () =
+(* (e) Fleet workers get the parent's disk configuration in their
+   config frame, so with --cache an artifact a worker computes lands in
+   the parent's _cas/ directory and the parent later reads it as a
+   disk hit instead of recomputing it. *)
+let test_remote_workers_share_disk_cas () =
+  let dir = Filename.temp_file "engine-remote-cas" "" in
+  Sys.remove dir;
+  Engine.Cache.enable_disk ~dir ();
+  Fun.protect ~finally:Engine.Cache.disable_disk @@ fun () ->
   let fleet = Engine.Remote.create (Engine.Remote.Exec 1) in
-  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
-  let cache = Engine.Cache.create ~name:"test-remote-cas" ~schema:"v1" () in
-  let key = ("artifact", 7) in
-  let payload = Engine.Cache.Private.payload_of_value cache "fetched-over-tcp" in
-  Engine.Transport.Store.put (Engine.Remote.store fleet)
-    ~cache:"test-remote-cas"
-    ~key_digest:(Engine.Cache.key_digest key)
-    ~payload;
   let out =
+    Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
     Engine.Remote.map fleet
       (fun () ->
-        let c = Engine.Cache.create ~name:"test-remote-cas" ~schema:"v1" () in
-        Engine.Cache.find_or_add c ~key:("artifact", 7) (fun () ->
-            failwith "compute ran: the remote tier did not serve the artifact"))
-      [| () |]
-  in
-  match out.(0) with
-  | Ok v -> Alcotest.(check string) "artifact served by digest" "fetched-over-tcp" v
-  | Error (exn, _) ->
-      Alcotest.failf "fetch failed: %s" (Printexc.to_string exn)
-
-(* (f) The publish direction: with no disk tier in the parent, a
-   worker's computed artifact lands in the parent's in-memory store
-   under the cache name and key digest. *)
-let test_remote_cas_publish () =
-  let fleet = Engine.Remote.create (Engine.Remote.Exec 1) in
-  Fun.protect ~finally:(fun () -> Engine.Remote.shutdown fleet) @@ fun () ->
-  let key = ("published", 1) in
-  let out =
-    Engine.Remote.map fleet
-      (fun () ->
-        let c = Engine.Cache.create ~name:"test-remote-pub" ~schema:"v1" () in
-        Engine.Cache.find_or_add c ~key:("published", 1) (fun () -> "made-remotely"))
+        let c = Engine.Cache.create ~name:"test-remote-disk" ~schema:"v1" () in
+        Engine.Cache.find_or_add c ~key:("shared", 1) (fun () -> "made-remotely"))
       [| () |]
   in
   (match out.(0) with
   | Ok v -> Alcotest.(check string) "task result" "made-remotely" v
   | Error (exn, _) ->
       Alcotest.failf "task failed: %s" (Printexc.to_string exn));
-  match
-    Engine.Transport.Store.get (Engine.Remote.store fleet)
-      ~cache:"test-remote-pub"
-      ~key_digest:(Engine.Cache.key_digest key)
-  with
-  | None -> Alcotest.fail "worker artifact was not published to the parent"
-  | Some payload ->
-      Alcotest.(check bool) "published payload is non-empty" true
-        (String.length payload > 0)
+  let c = Engine.Cache.create ~name:"test-remote-disk" ~schema:"v1" () in
+  let v =
+    Engine.Cache.find_or_add c ~key:("shared", 1) (fun () ->
+        failwith "compute ran: the worker's artifact is not in the disk CAS")
+  in
+  Alcotest.(check string) "parent reads the worker's artifact" "made-remotely" v;
+  Alcotest.(check int) "served as a disk hit" 1
+    (Engine.Cache.stats c).Engine.Cache.disk_hits
 
 (* (g) Spec parsing: the --workers syntax. *)
 let test_parse_spec () =
@@ -366,10 +352,8 @@ let suite =
       test_remote_task_failure;
     Alcotest.test_case "remote backend times out a wedged worker" `Quick
       test_remote_timeout_replaces_wedged_worker;
-    Alcotest.test_case "workers fetch artifacts from the parent store" `Quick
-      test_remote_cas_fetch;
-    Alcotest.test_case "workers publish artifacts to the parent store" `Quick
-      test_remote_cas_publish;
+    Alcotest.test_case "workers write artifacts to the parent's disk CAS"
+      `Quick test_remote_workers_share_disk_cas;
     Alcotest.test_case "--workers spec parsing" `Quick test_parse_spec;
     Alcotest.test_case "standalone daemon serves successive parents" `Quick
       test_remote_daemon_reconnect;

@@ -9,10 +9,7 @@ open Serve
 
 let ip = Flowgen.Ipv4.of_int
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = Fixtures.contains
 
 (* --- Clock -------------------------------------------------------------- *)
 

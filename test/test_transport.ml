@@ -336,20 +336,6 @@ let test_auth_preamble () =
   | exception (Failure _ | End_of_file) -> ());
   Unix.close out_r
 
-(* (h) The parent-side store: in-memory fallback round-trips, and with
-   a disk tier configured it is backed by the content-addressed
-   store — a payload published under one cache dedups into the same
-   object another cache's digest lookup finds. *)
-let test_store_roundtrip () =
-  let store = Engine.Transport.Store.create () in
-  Engine.Transport.Store.put store ~cache:"c" ~key_digest:"k1" ~payload:"abc";
-  Alcotest.(check (option string))
-    "in-memory store round-trip" (Some "abc")
-    (Engine.Transport.Store.get store ~cache:"c" ~key_digest:"k1");
-  Alcotest.(check (option string))
-    "unknown digest misses" None
-    (Engine.Transport.Store.get store ~cache:"c" ~key_digest:"k2")
-
 let suite =
   [
     Alcotest.test_case "truncated frames surface as Worker_lost" `Quick
@@ -367,5 +353,4 @@ let suite =
     Alcotest.test_case "frame IO round-trips" `Quick test_frame_roundtrip;
     Alcotest.test_case "auth preamble gates the protocol" `Quick
       test_auth_preamble;
-    Alcotest.test_case "artifact store round-trips" `Quick test_store_roundtrip;
   ]
