@@ -1,25 +1,16 @@
-# Convenience wrappers around dune. `make bench-json` regenerates
-# BENCH_sweep.json (serial-vs-parallel timings of the full experiment
-# grid), `make bench-pool` regenerates BENCH_pool.json (serial,
-# domain-pool and loopback-fleet task-dispatch overhead at 1/10/100 ms
-# granularity), and `make
-# bench-dp` regenerates BENCH_dp.json (tier-DP kernel: certified
-# ladder vs exact quadratic across demand specs and market sizes —
-# the n=50k exact legs make this the slow one; `make bench-dp-smoke`
-# is the CI variant, which still covers n=200k via the sampled-column
-# check), and `make bench-serve` regenerates
-# BENCH_serve.json (streaming daemon, end to end from the wire: a
-# churned multi-day stream is encoded to a binary NetFlow v5/IPFIX
-# file and replayed through the daemon; ingest throughput, re-tier
-# latency and steady-state RSS are recorded, and posted windows are
-# checked bitwise against the exact quadratic DP (all of them up to
-# 500 flows, every 12th plus the last above that); `make
-# bench-serve-smoke` is the small CI variant) so the
-# perf trajectory accumulates across PRs. `make golden-regen` re-renders every registry
-# experiment and promotes the result into test/golden/ — run it (and
-# commit the diff) after an intentional output change.
+# Convenience wrappers around dune. `make bench` prints the paper's
+# tables and figures, the ablations and the extensions, then runs the
+# tier-DP certificate. `make bench-dp` regenerates BENCH_dp.json: the
+# certified ladder against the exact quadratic DP across demand specs
+# and market sizes (the n=50k exact legs make it slow; `make
+# bench-dp-smoke` is the CI variant, which still covers n=200k via the
+# sampled-column check). Performance is measured with a spread by
+# perfbench/ (`make perfbench-smoke`; BENCHMARK.json). `make
+# golden-regen` re-renders every registry experiment and promotes the
+# result into test/golden/ — run it (and commit the diff) after an
+# intentional output change.
 
-.PHONY: all build test test-segdp bench bench-json bench-pool bench-dp bench-dp-smoke bench-serve bench-serve-smoke perfbench-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
+.PHONY: all build test test-segdp bench bench-dp bench-dp-smoke perfbench-smoke golden-regen smoke smoke-procs lint lint-typed lint-baseline effects-regen clean
 
 all: build
 
@@ -38,23 +29,11 @@ test-segdp:
 bench:
 	dune exec bench/main.exe
 
-bench-json:
-	dune exec bench/main.exe -- sweep
-
-bench-pool:
-	dune exec bench/main.exe -- pool
-
 bench-dp:
 	dune exec bench/main.exe -- dp
 
 bench-dp-smoke:
 	dune exec bench/main.exe -- dp --dp-sizes=1000,4000,200000 --dp-max-exact=4000
-
-bench-serve:
-	dune exec bench/main.exe -- serve
-
-bench-serve-smoke:
-	dune exec bench/main.exe -- serve --serve-flows=300 --serve-days=2
 
 # One short run of two repository benchmark workloads
 # (perfbench/README.md). `grid` builds perfbench/main.exe, renders the
@@ -63,8 +42,9 @@ bench-serve-smoke:
 # serial reference. `serve_ingest` replays a 7-day wire file through
 # `Daemon.run` and re-solves every posted window with the same
 # `Retier.t` (`Retier.solve_cold` is `retier`), so it only catches
-# nondeterminism; `make bench-serve-smoke` is the check against the
-# exact quadratic DP. Each exits non-zero if any output is wrong.
+# nondeterminism; the check against the exact quadratic DP is the
+# `serve` test "daemon wire replay (= quadratic)" in `make test`. Each
+# exits non-zero if any output is wrong.
 perfbench-smoke:
 	python3 perfbench/run.py --workload grid --seed 1 --seconds 1 --trace 0
 	python3 perfbench/run.py --workload serve_ingest --seed 1 --seconds 1 --trace 0

@@ -1,16 +1,13 @@
-(* One JSON writer for every BENCH_*.json the bench emits.  The
-   sections used to carry their own Printf templates, copy-pasted and
-   drifting; keeping the serialization here means a section only
-   describes its fields.  Numeric formatting stays with the caller
-   ([num] takes the printf format) so each file keeps the precision its
-   consumers expect. *)
+(* The JSON writer behind BENCH_dp.json: a section only describes its
+   fields.  Numeric formatting stays with the caller ([num] takes the
+   printf format) so each field keeps the precision its consumers
+   expect. *)
 
 type value =
   | Null
   | Bool of bool
   | Int of int
   | Num of string  (* preformatted numeric literal *)
-  | Raw of string  (* pre-serialized JSON, embedded verbatim *)
   | Str of string
   | Arr of value list
   | Obj of (string * value) list
@@ -35,7 +32,7 @@ let rec inline = function
   | Null -> "null"
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
-  | Num s | Raw s -> s
+  | Num s -> s
   | Str s -> Printf.sprintf "\"%s\"" (escape s)
   | Arr vs -> "[" ^ String.concat ", " (List.map inline vs) ^ "]"
   | Obj fields ->

@@ -1,21 +1,17 @@
 (* The reproduction harness: regenerates every table and figure of the
-   paper (see DESIGN.md's experiment index), runs the ablations called
-   out there, and finishes with Bechamel micro-benchmarks of the core
-   algorithms.
+   paper (see DESIGN.md's experiment index), runs the ablations and
+   extensions called out there, and certifies the tier-DP kernel.
 
-   Usage: dune exec bench/main.exe [section ...]
-   with sections among: experiments fig2 fig17 ablations extensions
-   sweep pool dp serve micro (default: all). A specific experiment id
-   (e.g. fig8) also works.
+   Usage: dune exec bench/main.exe [section ...] [--dp-FLAG=VALUE ...]
+   with sections among: experiments fig2 fig17 ablations extensions dp
+   (default: all). A specific experiment id (e.g. fig8) also works; any
+   other argument exits 2 with the list of known sections.
 
-   The experiments section executes on the Engine pool
-   ([--backend=remote] switches it to a loopback worker fleet); the
-   sweep section times the full grid serial vs parallel, checks the
-   outputs are byte-identical and records the result in
-   BENCH_sweep.json; the pool section sweeps task granularity across
-   the serial / domain / fleet substrates and records per-task
-   dispatch overhead in BENCH_pool.json (regenerate with `make
-   bench-pool`). *)
+   The experiments section executes on the Engine domain pool; the dp
+   section checks the certified ladder against the exact quadratic DP
+   and records its table in BENCH_dp.json (regenerate with `make
+   bench-dp`). Performance is measured with a spread by perfbench/
+   (BENCHMARK.json), not here. *)
 
 open Tiered
 
@@ -32,13 +28,13 @@ let print_result (r : Runner.result) =
   Format.fprintf ppf "@.---- %s: %s ----@." r.Runner.id r.Runner.description;
   List.iter (Report.print ppf) r.Runner.tables
 
-let run_experiments ~backend () =
+let run_experiments () =
   section "Paper tables and figures";
   (* The whole registry goes through the engine pool; results are
      merged in submission order, so the output is identical to the
-     historical serial walk at any job count or backend. *)
+     historical serial walk at any job count. *)
   let metrics = Engine.Metrics.create () in
-  let results = Runner.run_experiments ~backend ~metrics Experiment.all in
+  let results = Runner.run_experiments ~metrics Experiment.all in
   List.iter print_result results;
   List.iter (Report.print ppf) (Runner.metrics_reports (Engine.Metrics.snapshot metrics))
 
@@ -824,257 +820,6 @@ let run_extensions () =
   extension_failures ();
   extension_loading ()
 
-(* --- sweep: serial vs parallel grid timing -------------------------------- *)
-
-(* Runs the full experiment grid from cold caches — once serial
-   (jobs=1) and, when the host exposes more than one domain, once on
-   the domain pool — asserts the rendered output is byte-identical,
-   and appends the wall-clock comparison to BENCH_sweep.json so the
-   perf trajectory accumulates across PRs. On a single-core host the
-   parallel leg is skipped: a pool of domains multiplexed onto one
-   core measures scheduler contention, not the engine, so the JSON
-   carries ["speedup": null] and a ["note"] instead of a misleading
-   sub-1x figure, and no speedup target is asserted. *)
-
-let timed_grid ~jobs =
-  Engine.Cache.clear_all ();
-  let metrics = Engine.Metrics.create () in
-  let t0 = Unix.gettimeofday () in
-  let results = Runner.run_experiments ~jobs ~metrics Experiment.all in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (Runner.render results, wall_s, Engine.Metrics.snapshot metrics)
-
-let run_sweep_bench () =
-  section "Sweep: full experiment grid, serial vs domain pool";
-  let host_domains = Domain.recommended_domain_count () in
-  let n_tasks =
-    List.fold_left
-      (fun acc (e : Experiment.t) -> acc + List.length (e.Experiment.cells ()))
-      0 Experiment.all
-  in
-  let serial_out, serial_s, _ = timed_grid ~jobs:1 in
-  let parallel =
-    if host_domains <= 1 then None
-    else begin
-      let parallel_jobs = max 2 (Engine.Pool.default_jobs ()) in
-      let parallel_out, parallel_s, parallel_snap =
-        timed_grid ~jobs:parallel_jobs
-      in
-      Some (parallel_jobs, parallel_out, parallel_s, parallel_snap)
-    end
-  in
-  let identical =
-    match parallel with
-    | None -> true
-    | Some (_, parallel_out, _, _) -> String.equal serial_out parallel_out
-  in
-  let rows =
-    [
-      [ "grid";
-        Printf.sprintf "%d experiments / %d cells"
-          (List.length Experiment.all) n_tasks ];
-      [ "host domains"; string_of_int host_domains ];
-      [ "serial (jobs=1)"; Printf.sprintf "%.3f s" serial_s ];
-    ]
-    @ (match parallel with
-      | None ->
-          [
-            [ "parallel"; "skipped (single-core host)" ];
-            [ "speedup"; "n/a" ];
-          ]
-      | Some (parallel_jobs, _, parallel_s, parallel_snap) ->
-          let speedup = if parallel_s > 0. then serial_s /. parallel_s else 0. in
-          [
-            [ Printf.sprintf "parallel (jobs=%d)" parallel_jobs;
-              Printf.sprintf "%.3f s" parallel_s ];
-            [ "speedup"; Printf.sprintf "%.2fx" speedup ];
-            [ "pool utilization";
-              Printf.sprintf "%.1f%%"
-                (100. *. parallel_snap.Engine.Metrics.utilization) ];
-          ])
-    @ [ [ "byte-identical output"; (if identical then "yes" else "NO") ] ]
-  in
-  Report.print ppf
-    (Report.make ~title:"Serial vs parallel wall clock (cold caches)"
-       ~header:[ "quantity"; "value" ] rows
-       ~notes:
-         [
-           "results are keyed by task index and merged in submission order, \
-            so the parallel grid must reproduce the serial bytes exactly";
-         ]);
-  let base =
-    Json_out.
-      [
-        ("grid", Str "experiments");
-        ("tasks", Int n_tasks);
-        ("host_domains", Int host_domains);
-        ("jobs_serial", Int 1);
-        ("serial_s", num "%.6f" serial_s);
-      ]
-  in
-  let rest =
-    match parallel with
-    | None ->
-        Json_out.
-          [
-            ("jobs_parallel", Null);
-            ("parallel_s", Null);
-            ("speedup", Null);
-            ("pool_utilization", Null);
-            ("byte_identical", Bool true);
-            ( "note",
-              Str
-                "single-core host: parallel leg skipped, no speedup target \
-                 asserted" );
-          ]
-    | Some (parallel_jobs, _, parallel_s, parallel_snap) ->
-        let speedup = if parallel_s > 0. then serial_s /. parallel_s else 0. in
-        Json_out.
-          [
-            ("jobs_parallel", Int parallel_jobs);
-            ("parallel_s", num "%.6f" parallel_s);
-            ("speedup", num "%.4f" speedup);
-            ( "pool_utilization",
-              num "%.4f" parallel_snap.Engine.Metrics.utilization );
-            ("byte_identical", Bool identical);
-          ]
-  in
-  Json_out.write ppf "BENCH_sweep.json" (base @ rest);
-  if not identical then
-    failwith "sweep: parallel grid output diverged from the serial run"
-
-(* --- pool: dispatch overhead per backend ----------------------------------- *)
-
-(* Pool-aware micro-benchmark: spin-wait tasks of known duration
-   (~1ms / ~10ms / ~100ms) dispatched through each execution substrate
-   (serial fast path, worker domains, loopback TCP fleet), so the
-   per-task dispatch cost of each backend is isolated from real
-   workload noise. The headline number is overhead per task:
-   (wall - ideal) / tasks, where ideal assumes perfect balance of the
-   spin time over the workers. Fleet dispatch pays a Marshal and
-   socket round-trip per task, so its overhead floor is the
-   interesting datum: it says how coarse a grid cell must be before
-   --backend remote is free. Results go to BENCH_pool.json. On a
-   single-core host the domains leg is skipped (it would measure
-   scheduler contention, not dispatch cost). *)
-
-let spin task_s =
-  let t0 = Unix.gettimeofday () in
-  (* Busy-wait: sleep would hide dispatch overhead behind the kernel
-     timer slack that Unix.sleepf itself carries. *)
-  while Unix.gettimeofday () -. t0 < task_s do
-    ()
-  done;
-  0
-
-type pool_case = {
-  pc_backend : string;
-  pc_jobs : int;
-  pc_task_s : float;
-  pc_tasks : int;
-  pc_wall_s : float;
-  pc_overhead_us : float;  (* dispatch overhead per task, microseconds *)
-}
-
-let run_pool_bench () =
-  section "Pool: dispatch overhead per backend and task granularity";
-  let host_domains = Domain.recommended_domain_count () in
-  let grains = [ (0.001, 64); (0.01, 32); (0.1, 8) ] in
-  let parallel_jobs = max 2 (Engine.Pool.default_jobs ()) in
-  let legs =
-    (* The domains leg is meaningless on a host that reports one domain
-       (workers would multiplex on the submitter's core), but the
-       remote leg always runs: worker *processes* are scheduled by the
-       OS and reach real cores even when [recommended_domain_count]
-       under-reports. It spawns 2 loopback TCP workers. *)
-    (("serial", Engine.Pool.Domains, 1)
-     ::
-     (if host_domains <= 1 then []
-      else [ ("domains", Engine.Pool.Domains, parallel_jobs) ]))
-    @ [ ("remote", Engine.Pool.Remote, 2) ]
-  in
-  let cases =
-    List.concat_map
-      (fun (label, backend, jobs) ->
-        Engine.Pool.with_pool ~backend ~jobs (fun pool ->
-            (* A remote request degrades to domains on hosts where
-               exec or loopback sockets fail; its row would then
-               price the wrong backend. *)
-            if Engine.Pool.backend pool <> backend then
-              failwith
-                (Printf.sprintf "pool: the %s leg degraded to %s" label
-                   (Engine.Pool.backend_name (Engine.Pool.backend pool)));
-            List.map
-              (fun (task_s, tasks) ->
-                (* One warm-up map so worker spawn / first-dispatch costs
-                   don't pollute the steady-state figure. *)
-                ignore (Engine.Pool.map pool spin (Array.make jobs 0.0001));
-                let inputs = Array.make tasks task_s in
-                let t0 = Unix.gettimeofday () in
-                ignore (Engine.Pool.map pool spin inputs);
-                let wall_s = Unix.gettimeofday () -. t0 in
-                let ideal_s =
-                  task_s
-                  *. float_of_int ((tasks + jobs - 1) / jobs)
-                in
-                {
-                  pc_backend = label;
-                  pc_jobs = jobs;
-                  pc_task_s = task_s;
-                  pc_tasks = tasks;
-                  pc_wall_s = wall_s;
-                  pc_overhead_us =
-                    1e6 *. Float.max 0. (wall_s -. ideal_s)
-                    /. float_of_int tasks;
-                })
-              grains))
-      legs
-  in
-  Report.print ppf
-    (Report.make
-       ~title:
-         (Printf.sprintf
-            "Per-task dispatch overhead by backend (host domains: %d)"
-            host_domains)
-       ~header:[ "backend"; "jobs"; "task"; "tasks"; "wall (s)"; "overhead/task" ]
-       (List.map
-          (fun c ->
-            [
-              c.pc_backend;
-              string_of_int c.pc_jobs;
-              Printf.sprintf "%.0f ms" (1000. *. c.pc_task_s);
-              string_of_int c.pc_tasks;
-              Printf.sprintf "%.3f" c.pc_wall_s;
-              Printf.sprintf "%.0f us" c.pc_overhead_us;
-            ])
-          cases)
-       ~notes:
-         [
-           "overhead = (wall - ideal) / tasks with ideal assuming perfect \
-            balance; the remote row prices the per-task Marshal and \
-            socket round-trip";
-         ]);
-  Json_out.(
-    write ppf "BENCH_pool.json"
-      [
-        ("grid", Str "pool-dispatch");
-        ("host_domains", Int host_domains);
-        ( "cases",
-          Arr
-            (List.map
-               (fun c ->
-                 Obj
-                   [
-                     ("backend", Str c.pc_backend);
-                     ("jobs", Int c.pc_jobs);
-                     ("task_s", num "%g" c.pc_task_s);
-                     ("tasks", Int c.pc_tasks);
-                     ("wall_s", num "%.6f" c.pc_wall_s);
-                     ("overhead_us_per_task", num "%.3f" c.pc_overhead_us);
-                   ])
-               cases) );
-      ])
-
 (* --- dp: tier-DP kernel, quadratic vs divide-and-conquer ------------------- *)
 
 (* Times [Numerics.Segdp.solve] (the region-wise D&C / SMAWK /
@@ -1280,313 +1025,48 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                cases) );
       ])
 
-(* --- serve: streaming ingest + per-window re-tiering ------------------------ *)
+(* --- command line ---------------------------------------------------------- *)
 
-(* The streaming service under load, end to end from the wire: a
-   NetFlow stream synthesized from the eu_isp calibration (scale
-   suffix, [days] days of duplicated per-router records, with a churn
-   cohort of flows absent on odd days so windows see genuine arrivals
-   and departures) is encoded to a binary NetFlow v5/IPFIX file, then
-   replayed through the framed reader into the daemon — streaming
-   dedup + sliding 24h window, re-tier every [every_s] stream seconds.
-   The posted windows are checked against the exact quadratic DP on
-   the market each re-tier solved: every window up to 500 flows, above
-   that every 12th window plus the last. Any violation fails the bench
-   like a sweep divergence would. BENCH_serve.json records throughput,
-   latency histogram, wire counters and steady-state RSS. *)
+let sections = [ "experiments"; "fig2"; "fig17"; "ablations"; "extensions"; "dp" ]
 
-let rss_mb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go () =
-            match input_line ic with
-            | exception End_of_file -> None
-            | line ->
-                if String.length line > 6 && String.sub line 0 6 = "VmRSS:"
-                then
-                  Scanf.sscanf
-                    (String.sub line 6 (String.length line - 6))
-                    " %d" (fun kb -> Some (float_of_int kb /. 1024.))
-                else go ()
-          in
-          go ())
-
-let run_serve_bench ~flows ~days ~every_s () =
-  section "Streaming serve: wire ingest throughput and re-tier latency";
-  let host_domains = Domain.recommended_domain_count () in
-  let name = Printf.sprintf "eu_isp@%d" flows in
-  let w = Flowgen.Workload.preset name in
-  let bin_s = 3600 and bins = 24 in
-  let wp = { Serve.Window.bin_s; bins; decay = Serve.Window.No_decay } in
-  let n_bundles = 4 in
-  let retier =
-    Serve.Retier.create
-      {
-        Serve.Retier.spec = Market.Ced;
-        alpha = 2.0;
-        p0 = 30.;
-        n_bundles;
-        cost_model = Cost_model.concave ~theta:0.5;
-        samples = 8;
-        cold_every = 0;
-        use_cache = false;
-      }
-      ~meta_of:(Serve.Retier.meta_of_workload w)
-  in
-  (* One synthesized day, emission-stable sort by first_s (the wire file
-     must honor the daemon's nondecreasing-first_s contract). *)
-  let template =
-    let rng = Numerics.Rng.create 11 in
-    List.stable_sort
-      (fun (a : Flowgen.Netflow.record) b ->
-        Int.compare a.Flowgen.Netflow.first_s b.Flowgen.Netflow.first_s)
-      (Flowgen.Netflow.synthesize ~rng (Flowgen.Workload.to_ground_truth w))
-  in
-  (* Churn cohort: every 11th flow id is dark on odd days, so day
-     boundaries produce windows whose flow *set* changes (arrivals and
-     departures) on top of the per-hour demand drift. *)
-  let churn = Hashtbl.create 256 in
-  List.iter
-    (fun (f : Flowgen.Workload.flow) ->
-      if f.Flowgen.Workload.id mod 11 = 0 then
-        Hashtbl.replace churn
-          ( Flowgen.Ipv4.to_int f.Flowgen.Workload.src_addr,
-            Flowgen.Ipv4.to_int f.Flowgen.Workload.dst_addr )
-          ())
-    w.Flowgen.Workload.flows;
-  let stream =
-    List.concat_map
-      (fun day ->
-        let shift = day * Flowgen.Netflow.day_seconds in
-        List.filter_map
-          (fun (r : Flowgen.Netflow.record) ->
-            let dark =
-              day mod 2 = 1
-              && Hashtbl.mem churn
-                   ( Flowgen.Ipv4.to_int r.Flowgen.Netflow.src,
-                     Flowgen.Ipv4.to_int r.Flowgen.Netflow.dst )
-            in
-            if dark then None
-            else
-              Some
-                {
-                  r with
-                  Flowgen.Netflow.first_s = r.Flowgen.Netflow.first_s + shift;
-                  last_s = r.Flowgen.Netflow.last_s + shift;
-                })
-          template)
-      (List.init days Fun.id)
-  in
-  let wire_file = Filename.temp_file "tiered_bench_serve" ".nf" in
-  Flowgen.Netflow.Wire.write_file wire_file stream;
-  let wire_bytes = (Unix.stat wire_file).Unix.st_size in
-  Format.fprintf ppf "wire file: %d records, %.1f MB@." (List.length stream)
-    (float_of_int wire_bytes /. 1e6);
-  let ingest_state =
-    Serve.Shards.create ~expected:flows ~shards:1 ~dedup:true wp
-  in
-  let ic = open_in_bin wire_file in
-  let posted = ref [] in
-  let result =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        Serve.Daemon.run
-          ~on_retier:(fun snap o -> posted := (snap, o) :: !posted)
-          ~clock:(Serve.Clock.of_fn Unix.gettimeofday)
-          ~shards:ingest_state ~retier
-          { Serve.Daemon.every_s }
-          (Serve.Ingest.of_reader (Flowgen.Netflow.Wire.of_channel ic)))
-  in
-  let posted = List.rev !posted in
-  let rss = rss_mb () in
-  Sys.remove wire_file;
-  let s = result.Serve.Daemon.r_stats in
-  let run = result.Serve.Daemon.r_run in
-  let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let outcome_matches (o : Serve.Retier.outcome) (c : Serve.Retier.outcome) =
-    List.equal Int.equal o.Serve.Retier.o_cuts c.Serve.Retier.o_cuts
-    && Array.length o.Serve.Retier.o_prices
-       = Array.length c.Serve.Retier.o_prices
-    && Array.for_all2 bits_equal o.Serve.Retier.o_prices
-         c.Serve.Retier.o_prices
-    && bits_equal o.Serve.Retier.o_profit c.Serve.Retier.o_profit
-  in
-  (* Reference leg: the exact quadratic DP on the market the re-tier
-     solved; its cuts, and the prices and profit [Pricing.evaluate]
-     gives on them, must equal the posted ones bitwise. The quadratic
-     DP is O(B n^2), so windows above 500 flows are sampled: every
-     12th one plus the last. *)
-  let quadratic_matches snap (o : Serve.Retier.outcome) =
-    match Serve.Retier.market retier snap with
-    | None -> o.Serve.Retier.o_n_flows = 0
-    | Some m ->
-        let order, seg_value, _ = Strategy.dp_inputs m in
-        let q =
-          Numerics.Segdp.solve_quadratic ~n:(Market.n_flows m) ~n_bundles
-            seg_value
-        in
-        let cuts = q.Numerics.Segdp.cuts in
-        let priced = Pricing.evaluate m (Bundle.contiguous ~order ~cuts) in
-        o.Serve.Retier.o_n_flows = Market.n_flows m
-        && outcome_matches o
-          {
-            o with
-            Serve.Retier.o_cuts = cuts;
-            o_prices = priced.Pricing.bundle_prices;
-            o_profit = priced.Pricing.profit;
-          }
-  in
-  let last = List.length posted - 1 in
-  let checked =
-    List.filteri
-      (fun k (_, (o : Serve.Retier.outcome)) ->
-        o.Serve.Retier.o_n_flows <= 500 || k mod 12 = 0 || k = last)
-      posted
-  in
-  let quadratic_identical =
-    List.for_all (fun (snap, o) -> quadratic_matches snap o) checked
-  in
-  Report.print ppf (Serve.Stats.report s run);
-  Format.fprintf ppf "windows checked against the quadratic DP: %d of %d (%s)@."
-    (List.length checked) s.Serve.Stats.retiers
-    (if quadratic_identical then "bitwise identical" else "DIVERGED");
-  Json_out.(
-    write ppf "BENCH_serve.json"
-      [
-        ("grid", Str "serve");
-        ("workload", Str name);
-        ("days", Int days);
-        ("every_s", Int every_s);
-        ("bin_s", Int bin_s);
-        ("bins", Int bins);
-        ("flows", Int result.Serve.Daemon.r_flows);
-        ("host_domains", Int host_domains);
-        ("wire_bytes", Int wire_bytes);
-        ("seq_gaps", Int run.Serve.Stats.seq_gaps);
-        ("malformed", Int run.Serve.Stats.malformed);
-        ("rss_mb", opt (num "%.1f") rss);
-        ("daemon", Raw (Serve.Stats.to_json s run));
-        ("windows_checked_quadratic", Int (List.length checked));
-        ("quadratic_identical", Bool quadratic_identical);
-      ]);
-  if not quadratic_identical then
-    failwith "serve: posted tiers diverged from the quadratic DP"
-
-(* --- micro-benchmarks ----------------------------------------------------- *)
-
-let run_micro () =
-  section "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let ced = Experiment.market ~spec:Market.Ced "eu_isp" in
-  let logit = Experiment.market ~spec:(Market.Logit { s0 = Experiment.Defaults.s0 }) "eu_isp" in
-  let topo = Netsim.Presets.eu_isp () in
-  let strategy_bench name m =
-    List.map
-      (fun s ->
-        Test.make
-          ~name:(Printf.sprintf "%s %s B=4" name (Strategy.name s))
-          (Staged.stage (fun () -> ignore (Strategy.apply s m ~n_bundles:4))))
-      [ Strategy.Optimal; Strategy.Profit_weighted; Strategy.Cost_division ]
-  in
-  let tests =
-    Test.make_grouped ~name:"tiered-pricing"
-      [
-        Test.make_grouped ~name:"strategies (600 flows)"
-          (strategy_bench "ced" ced @ strategy_bench "logit" logit);
-        Test.make_grouped ~name:"pricing"
-          [
-            Test.make ~name:"ced evaluate B=4"
-              (Staged.stage
-                 (let b = Strategy.apply Strategy.Optimal ced ~n_bundles:4 in
-                  fun () -> ignore (Pricing.evaluate ced b)));
-            Test.make ~name:"logit evaluate B=4"
-              (Staged.stage
-                 (let b = Strategy.apply Strategy.Optimal logit ~n_bundles:4 in
-                  fun () -> ignore (Pricing.evaluate logit b)));
-            Test.make ~name:"logit margin solve"
-              (Staged.stage (fun () ->
-                   ignore (Logit.optimal_margin ~alpha:1.1 ~ln_s:25.)));
-          ];
-        Test.make_grouped ~name:"substrates"
-          [
-            Test.make ~name:"dijkstra (eu_isp)"
-              (Staged.stage (fun () ->
-                   ignore
-                     (Netsim.Graph.shortest_path_lengths topo.Netsim.Topology.graph
-                        ~src:0)));
-            Test.make ~name:"market fit (600 flows)"
-              (Staged.stage
-                 (let flows = Dataset.of_workload (Experiment.workload "eu_isp") in
-                  fun () ->
-                    ignore
-                      (Market.fit ~spec:Market.Ced ~alpha:1.1 ~p0:20.
-                         ~cost_model:(Cost_model.linear ~theta:0.2) flows)));
-          ];
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun instance ->
-      let results = Analyze.all ols instance raw in
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name result ->
-          let cell =
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> Printf.sprintf "%.1f" est
-            | Some _ | None -> "-"
-          in
-          rows := [ name; cell ] :: !rows)
-        results;
-      Report.print ppf
-        (Report.make ~title:"Wall-clock cost of the core algorithms"
-           ~header:[ "benchmark"; "ns/run" ]
-           (List.sort compare !rows)))
-    instances
-
-(* --- driver ---------------------------------------------------------------- *)
+(* dp-section knobs: --dp-sizes=1000,10000 --dp-bundles=3,10
+   --dp-max-exact=50000 (the CI smoke shrinks sizes and max-exact). *)
+let dp_flags = [ "--dp-sizes"; "--dp-bundles"; "--dp-max-exact" ]
 
 let () =
-  (* Must come first: when this executable is re-invoked as a loopback
-     fleet child (--backend=remote / the pool section's remote leg),
-     serve tasks and exit before any section runs. *)
-  Engine.Remote.maybe_run_worker ();
   let raw_args = List.tl (Array.to_list Sys.argv) in
-  (* Flags mirror tiered-cli: [--cache] turns on the content-addressed
-     disk tier under _cas/, [--cache-max-bytes=N] additionally bounds
-     it (implying [--cache]), [--backend=remote] runs the experiments
-     section on a loopback TCP fleet. Everything else selects sections
-     or experiment ids. *)
-  let cache_max_bytes =
-    List.fold_left
-      (fun acc a ->
-        match String.index_opt a '=' with
-        | Some i when String.sub a 0 i = "--cache-max-bytes" ->
-            int_of_string_opt
-              (String.sub a (i + 1) (String.length a - i - 1))
-        | _ -> acc)
-      None raw_args
+  let flags, args = List.partition (String.starts_with ~prefix:"--") raw_args in
+  let split a =
+    Option.map
+      (fun i -> (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1)))
+      (String.index_opt a '=')
   in
-  (* dp-section knobs: --dp-sizes=1000,10000 --dp-bundles=3,10
-     --dp-max-exact=50000 (the CI smoke shrinks all three). *)
+  (* A stray argument must not run nothing and exit 0: a caller of a
+     retired section would otherwise pass silently. *)
+  let unknown =
+    List.filter
+      (fun a ->
+        match split a with
+        | Some (name, _) -> not (List.mem name dp_flags)
+        | None -> true)
+      flags
+    @ List.filter
+        (fun a -> not (List.mem a sections || List.mem a (Experiment.ids ())))
+        args
+  in
+  if unknown <> [] then begin
+    Format.eprintf
+      "bench: unknown argument(s): %s@.known sections: %s, or an experiment id \
+       (tiered-cli list); flags: %s@."
+      (String.concat " " unknown) (String.concat " " sections)
+      (String.concat " " (List.map (fun f -> f ^ "=...") dp_flags));
+    exit 2
+  end;
   let flag_value name =
     List.fold_left
       (fun acc a ->
-        match String.index_opt a '=' with
-        | Some i when String.sub a 0 i = name ->
-            Some (String.sub a (i + 1) (String.length a - i - 1))
-        | _ -> acc)
-      None raw_args
+        match split a with Some (n, v) when n = name -> Some v | _ -> acc)
+      None flags
   in
   let int_list_flag name default =
     match flag_value name with
@@ -1609,41 +1089,18 @@ let () =
   let dp_sizes = int_list_flag "--dp-sizes" [ 1_000; 10_000; 50_000; 200_000 ] in
   let dp_bundles = int_list_flag "--dp-bundles" [ 3; 10 ] in
   let dp_max_exact = int_flag "--dp-max-exact" 50_000 in
-  (* serve-section knobs: --serve-flows=N (eu_isp@N), --serve-days=D,
-     --serve-every=S (the CI smoke shrinks the first two). *)
-  let serve_flows = int_flag "--serve-flows" 2_000 in
-  let serve_days = int_flag "--serve-days" 6 in
-  let serve_every = int_flag "--serve-every" 3_600 in
-  let use_cache = List.mem "--cache" raw_args || cache_max_bytes <> None in
-  if use_cache then
-    Engine.Cache.enable_disk ?max_bytes:cache_max_bytes ~dir:"_cas" ();
-  let backend =
-    if List.mem "--backend=remote" raw_args then Engine.Pool.Remote
-    else Engine.Pool.Domains
-  in
-  let args =
-    List.filter
-      (fun a -> String.length a < 2 || String.sub a 0 2 <> "--")
-      raw_args
-  in
   let want name = args = [] || List.mem name args in
   let experiment_filter = List.filter (fun a -> List.mem a (Experiment.ids ())) args in
   if experiment_filter <> [] then
     List.iter (fun id -> run_experiment (Experiment.find id)) experiment_filter
   else begin
-    if want "experiments" then run_experiments ~backend ();
+    if want "experiments" then run_experiments ();
     if want "fig2" then run_fig2 ();
     if want "fig17" then run_fig17 ();
     if want "ablations" then run_ablations ();
     if want "extensions" then run_extensions ();
-    if want "sweep" then run_sweep_bench ();
-    if want "pool" then run_pool_bench ();
     if want "dp" then
       run_dp_bench ~sizes:dp_sizes ~bundle_counts:dp_bundles
-        ~max_exact:dp_max_exact ();
-    if want "serve" then
-      run_serve_bench ~flows:serve_flows ~days:serve_days
-        ~every_s:serve_every ();
-    if want "micro" then run_micro ()
+        ~max_exact:dp_max_exact ()
   end;
   Format.fprintf ppf "@."

@@ -65,6 +65,15 @@ let nonneg_int_conv =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | Some _ -> Error (`Msg (Printf.sprintf "must be >= 1, got %s" s))
+    | None -> Error (`Msg (Printf.sprintf "%S is not an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let positive_float_conv =
   let parse s =
     match float_of_string_opt s with
@@ -116,7 +125,7 @@ let bundles_arg =
   Arg.(value & opt int 3 & info [ "bundles" ] ~docv:"B" ~doc:"Number of pricing tiers.")
 
 let jobs_arg =
-  Arg.(value & opt int (Engine.Pool.default_jobs ())
+  Arg.(value & opt positive_int_conv (Engine.Pool.default_jobs ())
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Worker domains for grid execution (1 = serial). Output is \
                  byte-identical at any value; defaults to the host's core \
@@ -162,7 +171,7 @@ let workers_arg =
                  children of this executable. Defaults to $(b,exec:)$(i,jobs).")
 
 let worker_retries_arg =
-  Arg.(value & opt int 2
+  Arg.(value & opt nonneg_int_conv 2
        & info [ "worker-retries" ] ~docv:"N"
            ~doc:"With --backend remote (or its alias procs): how many times a \
                  task whose worker died is re-executed before the run fails.")
@@ -205,6 +214,24 @@ let or_cell_failure cmd ~cell_name f =
     Format.eprintf "%s: cell %s failed: %s@." cmd (cell_name index)
       (Printexc.to_string exn);
     exit 1
+
+(* Every file the CLI writes goes through [write_file]: an unwritable
+   path, or a write that fails at the final flush, is reported as
+   [CMD: cannot write PATH: REASON] on stderr and the command exits 1,
+   instead of escaping as an uncaught [Sys_error]. [write] must close
+   its channel with a checked [close_out] so a failed flush raises. *)
+let write_file cmd path write =
+  try write path
+  with Sys_error msg ->
+    let msg = if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg in
+    Format.eprintf "%s: cannot write %s@." cmd msg;
+    exit 1
+
+let write_string cmd path contents =
+  write_file cmd path (fun path ->
+      let oc = open_out path in
+      (try output_string oc contents with e -> close_out_noerr oc; raise e);
+      close_out oc)
 
 let cost_model_of ~cost ~theta =
   let theta_or default = Option.value ~default theta in
@@ -277,9 +304,7 @@ let run_cmd =
     in
     let write dir ext render i id t =
       let path = Filename.concat dir (Printf.sprintf "%s_%d.%s" id i ext) in
-      let oc = open_out path in
-      output_string oc (render t);
-      close_out oc;
+      write_string "run" path (render t);
       Format.fprintf ppf "  wrote %s@." path
     in
     let metrics = Engine.Metrics.create () in
@@ -312,9 +337,7 @@ let run_cmd =
       List.iter (Report.print ppf) (Runner.metrics_reports (snapshot ()));
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        output_string oc (Engine.Metrics.to_json (snapshot ()));
-        close_out oc;
+        write_string "run" path (Engine.Metrics.to_json (snapshot ()));
         Format.fprintf ppf "  wrote %s@." path)
       metrics_json
   in
@@ -451,7 +474,7 @@ let trace_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the trace to $(docv).")
   in
   let sample_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int_conv 1
          & info [ "sample" ] ~docv:"N" ~doc:"Apply 1-in-$(docv) packet sampling.")
   in
   let seed_arg =
@@ -469,12 +492,13 @@ let trace_cmd =
     let rng = Numerics.Rng.create seed in
     let records = Flowgen.Netflow.synthesize ~rng (Flowgen.Workload.to_ground_truth w) in
     let records =
-      if sample <= 1 then records
+      if sample = 1 then records
       else Flowgen.Sampling.sample rng (Flowgen.Sampling.make sample) records
     in
-    (match format with
-    | `Csv -> Flowgen.Trace.save ~path:out records
-    | `Wire -> Flowgen.Netflow.Wire.write_file out records);
+    write_file "trace" out (fun path ->
+        match format with
+        | `Csv -> Flowgen.Trace.save ~path records
+        | `Wire -> Flowgen.Netflow.Wire.write_file path records);
     Format.fprintf ppf "wrote %s: %s@." out (Flowgen.Trace.summarize records)
   in
   Cmd.v
@@ -681,10 +705,7 @@ let serve_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Serve.Stats.to_json s run_row);
-        output_string oc "\n";
-        close_out oc;
+        write_string "serve" file (Serve.Stats.to_json s run_row ^ "\n");
         Format.fprintf ppf "@.wrote %s@." file
   in
   Cmd.v

@@ -301,11 +301,12 @@ module Wire = struct
   let write_channel oc records =
     List.iter (fun pkt -> output_string oc pkt) (encode records)
 
+  (* The final [close_out] is checked: a write that fails only at the
+     last flush (disk full) raises [Sys_error] instead of passing. *)
   let write_file path records =
     let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> write_channel oc records)
+    (try write_channel oc records with e -> close_out_noerr oc; raise e);
+    close_out oc
 
   (* ---------------------------- decode ---------------------------- *)
 

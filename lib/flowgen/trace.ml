@@ -1,15 +1,22 @@
+(* Runs [f oc], then closes [oc] with a checked [close_out], so a write
+   that fails only at the final flush (disk full) raises [Sys_error]
+   rather than [Fun.Finally_raised] or nothing. *)
+let with_out oc f =
+  (try f oc with e -> close_out_noerr oc; raise e);
+  close_out oc
+
+let write_records oc records =
+  List.iter
+    (fun r ->
+      output_string oc (Netflow.to_csv_line r);
+      output_char oc '\n')
+    records
+
 let save ~path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  with_out (open_out path) (fun oc ->
       output_string oc Netflow.csv_header;
       output_char oc '\n';
-      List.iter
-        (fun r ->
-          output_string oc (Netflow.to_csv_line r);
-          output_char oc '\n')
-        records)
+      write_records oc records)
 
 let load ~path =
   let ic = open_in path in
@@ -37,15 +44,8 @@ let load ~path =
       List.rev !records)
 
 let append ~path records =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun r ->
-          output_string oc (Netflow.to_csv_line r);
-          output_char oc '\n')
-        records)
+  with_out (open_out_gen [ Open_append; Open_creat ] 0o644 path) (fun oc ->
+      write_records oc records)
 
 let summarize records =
   let pairs = Hashtbl.create 256 in

@@ -57,5 +57,5 @@ val ingest_records_per_s : run -> float
 val report : summary -> run -> Tiered.Report.t
 
 val to_json : summary -> run -> string
-(** One flat JSON object; the schema is documented in README.md
-    (BENCH_serve.json embeds it verbatim under ["daemon"]). *)
+(** One flat JSON object ([tiered-cli serve --json]); the schema is
+    documented in README.md. *)

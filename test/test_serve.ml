@@ -873,6 +873,79 @@ let test_daemon_determinism () =
     | None -> false);
   Alcotest.(check int) "no late drops" 0 result.Daemon.r_run.Stats.late
 
+(* From the wire to posted tiers: two days of eu_isp@300 NetFlow, with
+   every 11th flow dark on odd days so the window's flow set churns, are
+   written as a binary NetFlow v5/IPFIX file and replayed through the
+   framed reader and the daemon. Every posted window must equal the
+   exact quadratic DP on its market, bitwise. *)
+let test_daemon_wire_replay () =
+  let w = Flowgen.Workload.preset "eu_isp@300" in
+  let template =
+    let rng = Numerics.Rng.create 11 in
+    List.stable_sort
+      (fun (a : Flowgen.Netflow.record) b ->
+        Int.compare a.Flowgen.Netflow.first_s b.Flowgen.Netflow.first_s)
+      (Flowgen.Netflow.synthesize ~rng (Flowgen.Workload.to_ground_truth w))
+  in
+  let pair src dst = (Flowgen.Ipv4.to_int src, Flowgen.Ipv4.to_int dst) in
+  let churn = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Flowgen.Workload.flow) ->
+      if f.Flowgen.Workload.id mod 11 = 0 then
+        Hashtbl.replace churn
+          (pair f.Flowgen.Workload.src_addr f.Flowgen.Workload.dst_addr)
+          ())
+    w.Flowgen.Workload.flows;
+  let stream =
+    List.concat_map
+      (fun day ->
+        let shift = day * Flowgen.Netflow.day_seconds in
+        List.filter_map
+          (fun (r : Flowgen.Netflow.record) ->
+            if day mod 2 = 1
+               && Hashtbl.mem churn (pair r.Flowgen.Netflow.src r.Flowgen.Netflow.dst)
+            then None
+            else
+              Some
+                {
+                  r with
+                  Flowgen.Netflow.first_s = r.Flowgen.Netflow.first_s + shift;
+                  last_s = r.Flowgen.Netflow.last_s + shift;
+                })
+          template)
+      [ 0; 1 ]
+  in
+  let file = Filename.temp_file "test_serve_replay" ".nf" in
+  let retier = serve_retier w in
+  let shards = Shards.create ~expected:300 ~shards:1 ~dedup:true serve_wp in
+  let clock, _ = Clock.manual () in
+  let windows = ref 0 in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Flowgen.Netflow.Wire.write_file file stream;
+        In_channel.with_open_bin file (fun ic ->
+            Daemon.run
+              ~on_retier:(fun snap o ->
+                incr windows;
+                check_matches_quadratic ~n_bundles:4 retier snap o)
+              ~clock ~shards ~retier
+              { Daemon.every_s = 3600 }
+              (Ingest.of_reader (Flowgen.Netflow.Wire.of_channel ic))))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 40 windows (got %d)" !windows)
+    true (!windows >= 40);
+  Alcotest.(check int) "every window checked" result.Daemon.r_stats.Stats.retiers
+    !windows;
+  let run = result.Daemon.r_run in
+  Alcotest.(check int) "every record decoded" (List.length stream) run.Stats.records;
+  Alcotest.(check bool) "duplicates were dropped" true
+    (match run.Stats.dropped_dup with Some d -> d > 0 | None -> false);
+  Alcotest.(check int) "no malformed packets" 0 run.Stats.malformed;
+  Alcotest.(check int) "no sequence gaps" 0 run.Stats.seq_gaps
+
 let test_daemon_out_of_order () =
   (* Out-of-order arrivals (dedup off — its contract needs ordered
      input): the tail horizon must not be pulled backwards by a late
@@ -1028,6 +1101,7 @@ let suite =
     Alcotest.test_case "retier rejects linear" `Quick test_retier_rejects_linear;
     QCheck_alcotest.to_alcotest prop_retier_differential;
     Alcotest.test_case "daemon determinism (= quadratic)" `Quick test_daemon_determinism;
+    Alcotest.test_case "daemon wire replay (= quadratic)" `Quick test_daemon_wire_replay;
     Alcotest.test_case "daemon out-of-order tail" `Quick test_daemon_out_of_order;
     Alcotest.test_case "daemon dedup and late" `Quick test_daemon_dedup_and_late;
     Alcotest.test_case "daemon wire counters" `Quick test_daemon_wire_counters;

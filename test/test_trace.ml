@@ -69,6 +69,22 @@ let test_summarize () =
     (String.length s > 0 && s <> "empty trace");
   Alcotest.(check string) "empty trace" "empty trace" (Trace.summarize [])
 
+(* /dev/full accepts the open and fails every write with ENOSPC; the
+   records fit in the channel buffer, so the failure surfaces only at the
+   final flush, which each writer must report as [Sys_error]. *)
+let test_writers_report_failed_flush () =
+  if Sys.file_exists "/dev/full" then begin
+    let records = sample_records () in
+    let raises_sys_error name write =
+      match write () with
+      | () -> Alcotest.failf "%s: a failed flush passed silently" name
+      | exception Sys_error _ -> ()
+    in
+    raises_sys_error "save" (fun () -> Trace.save ~path:"/dev/full" records);
+    raises_sys_error "append" (fun () -> Trace.append ~path:"/dev/full" records);
+    raises_sys_error "wire" (fun () -> Netflow.Wire.write_file "/dev/full" records)
+  end
+
 let suite =
   [
     Alcotest.test_case "save/load roundtrip" `Quick test_roundtrip;
@@ -77,4 +93,6 @@ let suite =
     Alcotest.test_case "bad header" `Quick test_bad_header;
     Alcotest.test_case "malformed record" `Quick test_malformed_record_line;
     Alcotest.test_case "summarize" `Quick test_summarize;
+    Alcotest.test_case "writers report a failed flush" `Quick
+      test_writers_report_failed_flush;
   ]
