@@ -822,8 +822,8 @@ let run_extensions () =
 
 (* --- dp: tier-DP kernel, quadratic vs divide-and-conquer ------------------- *)
 
-(* Times [Numerics.Segdp.solve] (the region-wise D&C / SMAWK /
-   quadratic-backstop ladder) against [Numerics.Segdp.solve_quadratic]
+(* Times [Numerics.Segdp.solve] (the certified region-wise D&C with
+   its quadratic-row backstop) against [Numerics.Segdp.solve_quadratic]
    (the exact O(B n^2) reference) on the exact (seg_value, regions) the
    Optimal strategy runs ([Strategy.dp_inputs]), across demand specs
    and synthetic market sizes built from the eu_isp calibration via the
@@ -843,7 +843,6 @@ type dp_case = {
   dc_bundles : int;
   dc_fast_s : float;
   dc_fast_evals : int;
-  dc_smawk_layers : int;
   dc_fallback_layers : int;
   dc_regions : int;
   dc_quad_s : float option;
@@ -928,7 +927,7 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                   failwith
                     (Printf.sprintf
                        "bench dp: quadratic-backstop layer on the default \
-                        grid (%s, n=%d, B=%d) — the fast rungs regressed"
+                        grid (%s, n=%d, B=%d) — the D&C rung regressed"
                        spec_name n b);
                 let speedup =
                   Option.map (fun (_, quad_s) -> quad_s /. fast_s) quad
@@ -943,8 +942,6 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                   dc_bundles = b;
                   dc_fast_s = fast_s;
                   dc_fast_evals = fast.Numerics.Segdp.stats.Numerics.Segdp.evaluations;
-                  dc_smawk_layers =
-                    fast.Numerics.Segdp.stats.Numerics.Segdp.smawk_layers;
                   dc_fallback_layers =
                     fast.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers;
                   dc_regions = fast.Numerics.Segdp.stats.Numerics.Segdp.regions;
@@ -971,7 +968,7 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
              up to n=%d)"
             max_exact)
        ~header:
-         [ "demand"; "n"; "B"; "fast (s)"; "evals"; "smawk"; "backstop";
+         [ "demand"; "n"; "B"; "fast (s)"; "evals"; "backstop";
            "quadratic (s)"; "speedup"; "check"; "cuts =" ]
        (List.map
           (fun c ->
@@ -981,7 +978,6 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
               string_of_int c.dc_bundles;
               Printf.sprintf "%.4f" c.dc_fast_s;
               string_of_int c.dc_fast_evals;
-              string_of_int c.dc_smawk_layers;
               string_of_int c.dc_fallback_layers;
               opt_cell (Printf.sprintf "%.4f") c.dc_quad_s;
               opt_cell (Printf.sprintf "%.1fx") c.dc_speedup;
@@ -1013,7 +1009,6 @@ let run_dp_bench ~sizes ~bundle_counts ~max_exact () =
                      ("bundles", Int c.dc_bundles);
                      ("fast_s", num "%.6f" c.dc_fast_s);
                      ("fast_evals", Int c.dc_fast_evals);
-                     ("smawk_layers", Int c.dc_smawk_layers);
                      ("fallback_layers", Int c.dc_fallback_layers);
                      ("regions", Int c.dc_regions);
                      ("quadratic_s", opt (num "%.6f") c.dc_quad_s);

@@ -122,7 +122,8 @@ let strategy_arg =
                  index-division).")
 
 let bundles_arg =
-  Arg.(value & opt int 3 & info [ "bundles" ] ~docv:"B" ~doc:"Number of pricing tiers.")
+  Arg.(value & opt positive_int_conv 3
+       & info [ "bundles" ] ~docv:"B" ~doc:"Number of pricing tiers.")
 
 let jobs_arg =
   Arg.(value & opt positive_int_conv (Engine.Pool.default_jobs ())
@@ -351,7 +352,7 @@ let run_cmd =
 
 let dataset_cmd =
   let sample_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive_int_conv) None
          & info [ "netflow-sample" ] ~docv:"N"
              ~doc:"Also run the 1-in-$(docv) sampled NetFlow pipeline and compare.")
   in
@@ -527,7 +528,8 @@ let tiers_cmd =
          & info [ "overhead" ] ~docv:"X" ~doc:"Per-tier monthly overhead in dollars.")
   in
   let max_arg =
-    Arg.(value & opt int 8 & info [ "max" ] ~docv:"B" ~doc:"Largest tier count to consider.")
+    Arg.(value & opt positive_int_conv 8
+         & info [ "max" ] ~docv:"B" ~doc:"Largest tier count to consider.")
   in
   let run network demand s0 strategy overhead max_bundles =
     let market = Experiment.market ~spec:(spec_of ~demand ~s0) network in
@@ -553,7 +555,7 @@ let tiers_cmd =
 
 let serve_cmd =
   let days_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive_int_conv 1
          & info [ "days" ] ~docv:"D"
              ~doc:"Stream length: one synthesized day of NetFlow replayed \
                    $(docv) times (timestamps shifted by whole days).")
@@ -563,15 +565,15 @@ let serve_cmd =
          & info [ "seed" ] ~docv:"N" ~doc:"NetFlow synthesis seed.")
   in
   let bin_arg =
-    Arg.(value & opt int 3600
+    Arg.(value & opt positive_int_conv 3600
          & info [ "bin-s" ] ~docv:"SECONDS" ~doc:"Window bin width.")
   in
   let bins_arg =
-    Arg.(value & opt int 24
+    Arg.(value & opt positive_int_conv 24
          & info [ "bins" ] ~docv:"N" ~doc:"Bins in the sliding window.")
   in
   let every_arg =
-    Arg.(value & opt int 3600
+    Arg.(value & opt positive_int_conv 3600
          & info [ "every" ] ~docv:"SECONDS"
              ~doc:"Re-tier cadence in stream seconds.")
   in
@@ -628,14 +630,9 @@ let serve_cmd =
     | Market.Linear _ ->
         usage "linear demand has no parametric rebuild (use ced or logit)"
     | Market.Ced | Market.Logit _ -> ());
-    (* Surface bad numeric parameters as CLI errors here; past this
-       point the same invalid_arg guards in lib/serve would read as
-       internal errors. *)
-    if days < 1 then usage "--days must be at least 1";
-    if bin_s < 1 then usage "--bin-s must be at least 1";
-    if bins < 1 then usage "--bins must be at least 1";
-    if every < 1 then usage "--every must be at least 1";
-    if bundles < 1 then usage "--bundles must be at least 1";
+    (* Surface bad float parameters as CLI errors here (the integer
+       ones are rejected at parse time); past this point the same
+       invalid_arg guards in lib/serve would read as internal errors. *)
     (match decay with
     | `Exponential when not (half_life > 0. && Float.is_finite half_life) ->
         usage "--half-life must be a positive number of bins"

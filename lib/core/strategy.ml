@@ -183,8 +183,8 @@ let profit_weighted_classes market ~n_bundles =
    can time and cross-check the kernels on exactly the seg_value the
    strategy runs. The partition itself is delegated to
    [Numerics.Segdp.solve]: region-wise divide-and-conquer layers with
-   Monge/total-monotonicity spot-checks, an SMAWK middle rung and an
-   exact quadratic backstop, cut-for-cut identical to the historical
+   Monge and sampled-column spot-checks and an exact quadratic
+   backstop, cut-for-cut identical to the historical
    O(B n^2) DP. Prefix rows are [floatarray]s read through unsafe gets:
    the indices are pinned to [0, n] by construction and the closures
    are the hottest call in the repo (billions of calls per bench
@@ -275,7 +275,8 @@ let dp_inputs market =
          "live" prefix increments plus the exp-saturation point — within
          a region the profit is one smooth branch and inverse Monge
          again. A pathologically fragmented input (>64 regions) is left
-         undecomposed; the SMAWK and quadratic rungs still certify it. *)
+         undecomposed; the certificate and the quadratic backstop
+         still keep its cuts exact. *)
       let starts = ref [] in
       if n > 1 then begin
         let flat k =

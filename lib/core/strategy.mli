@@ -34,9 +34,8 @@ val of_name : string -> t
 
 val apply : t -> Market.t -> n_bundles:int -> Bundle.t
 (** Raises [Invalid_argument] when [n_bundles < 1]. [Optimal] runs the
-    segment DP through {!Numerics.Segdp.solve} (region-wise
-    divide-and-conquer layers, Monge/total-monotonicity spot-checks,
-    SMAWK middle rung, exact quadratic backstop) — cut-for-cut
+    segment DP through {!Numerics.Segdp.solve} (certified region-wise
+    divide-and-conquer layers, exact quadratic backstop) — cut-for-cut
     identical to the historical O(B n^2) DP. *)
 
 val dp_inputs : Market.t -> int array * (int -> int -> float) * int array

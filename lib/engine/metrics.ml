@@ -65,9 +65,14 @@ let set_domain_busy t busy =
 
 let set_gc t gc = with_lock t.mutex (fun () -> t.gc <- Some gc)
 
+(* The runtime books minor words only when it empties a minor heap, so
+   each read first flushes it: otherwise the delta would count whole
+   minor heaps and depend on how full the heap was before the run. *)
 let gc_delta f =
+  Gc.minor ();
   let a = Gc.quick_stat () in
   let r = f () in
+  Gc.minor ();
   let b = Gc.quick_stat () in
   ( r,
     {

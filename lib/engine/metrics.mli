@@ -17,10 +17,10 @@ type gc = {
 }
 (** A {!Gc.quick_stat} delta over a run. It covers this process: the
     calling domain and the pool domains that ran and joined inside the
-    measured section, but not fleet worker processes. The
-    runtime books a domain's minor words when it empties its minor
-    heap, so a run that allocates less than one minor heap can read
-    [0]. *)
+    measured section, but not fleet worker processes. Each read is
+    preceded by a {!Gc.minor}, so [minor_words] counts exactly the
+    words the run allocated in the minor heap, whatever the heap held
+    before it, and [minor_collections] includes that closing flush. *)
 
 type snapshot = {
   tasks : task list;  (** submission order; one entry per grid cell *)

@@ -7,12 +7,12 @@
    divide-and-conquer recursion computes the whole layer in O(n log n)
    evaluations instead of O(n^2).
 
-   Each layer climbs a three-rung ladder, each rung certified by the
-   same runtime spot-check (exact re-solve of sampled columns, value and
-   argmax bit-for-bit):
+   Each layer takes one of two rungs:
 
-   1. Region-wise divide and conquer. The caller may pass [regions] —
-      start positions where seg_value changes branch structure (clamped
+   1. Region-wise divide and conquer, kept only when a runtime
+      spot-check certifies it (exact re-solve of sampled columns, value
+      and argmax bit-for-bit). The caller may pass [regions] — start
+      positions where seg_value changes branch structure (clamped
       prefix sums, underflowed exponentials); the D&C re-anchors its
       candidate range at every region start, so each region only needs
       the Monge property locally. Probed with seg-only adjacent Monge
@@ -21,19 +21,15 @@
       measured floating-point cancellation against numbers many orders
       of magnitude larger than the segment deltas — the false positive
       that used to push every big logit layer onto the quadratic row.
+      A quadruple that fails on seg_value alone is re-tested on the
+      order of the rounded candidates, the comparison the D&C makes.
 
-   2. SMAWK over the full layer. Total monotonicity is strictly weaker
-      than inverse Monge and is exactly what monotone argmaxes need;
-      probed with sampled strict-hypothesis TM implications on the
-      rounded candidate matrix (what SMAWK actually compares).
-
-   3. Exact quadratic row — the certified backstop. A structurally
-      hostile seg_value degrades to the quadratic DP rather than to
-      wrong cuts. *)
+   2. Exact quadratic row — the backstop. A structurally hostile
+      seg_value degrades to the quadratic DP rather than to wrong
+      cuts. *)
 
 type stats = {
   layers : int;
-  smawk_layers : int;
   fallback_layers : int;
   evaluations : int;
   regions : int;
@@ -121,8 +117,8 @@ let dandc_range ~prev ~cur ~choice_row ~seg ~jlo ~jhi ~ilo ~ihi =
       cur.(jmid) <- !best;
       choice_row.(jmid) <- !best_i;
       (* [!best_i = 0] only when every candidate was NaN; clamp so the
-         recursion stays well-formed (validation then forces the next
-         rung). *)
+         recursion stays well-formed (validation then forces the
+         quadratic row). *)
       let split = Stdlib.max !best_i ilo in
       go jlo (jmid - 1) ilo split;
       go (jmid + 1) jhi split ihi
@@ -143,103 +139,6 @@ let dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions =
       dandc_range ~prev ~cur ~choice_row ~seg ~jlo ~jhi:rhi ~ilo:b ~ihi:rhi
   done
 
-(* SMAWK over the staircase layer matrix: rows are DP columns [j],
-   columns are split candidates [i], entries prev.(i-1) + seg i j with
-   the invalid triangle i > j padded to -inf (padding that preserves
-   total monotonicity whenever the staircase part has it). Computes the
-   leftmost row maximum of every row in O(rows + cols) evaluations per
-   recursion level; exact precisely when the layer matrix is totally
-   monotone — which the caller's spot-check then certifies. *)
-let smawk_layer ~prev ~cur ~choice_row ~seg ~b ~n =
-  let m j i =
-    if i > j then Float.neg_infinity else fget prev (i - 1) +. seg i j
-  in
-  let rec go rows cols =
-    let nr = Array.length rows in
-    if nr > 0 then begin
-      (* REDUCE: prune to at most [nr] candidates that can still hold
-         some row's leftmost argmax. Pops are strict [>], so a tie keeps
-         the earlier candidate — the quadratic DP's tie-break. *)
-      let cols =
-        if Array.length cols <= nr then cols
-        else begin
-          let stack = Array.make nr 0 in
-          let top = ref 0 in
-          Array.iter
-            (fun c ->
-              while
-                !top > 0
-                && m rows.(!top - 1) c > m rows.(!top - 1) stack.(!top - 1)
-              do
-                decr top
-              done;
-              if !top < nr then begin
-                stack.(!top) <- c;
-                incr top
-              end)
-            cols;
-          Array.sub stack 0 !top
-        end
-      in
-      if nr = 1 then begin
-        let j = rows.(0) in
-        let best = ref Float.neg_infinity and best_i = ref b in
-        Array.iter
-          (fun c ->
-            let v = m j c in
-            if v > !best then begin
-              best := v;
-              best_i := c
-            end)
-          cols;
-        cur.(j) <- !best;
-        choice_row.(j) <- !best_i
-      end
-      else begin
-        let odd = Array.init (nr / 2) (fun k -> rows.((2 * k) + 1)) in
-        go odd cols;
-        (* Interpolate the even rows: row rows.(2k)'s leftmost argmax
-           lies between its solved neighbours' argmaxes, so one pointer
-           sweeps [cols] across all even rows. *)
-        let ncols = Array.length cols in
-        let p = ref 0 in
-        let k = ref 0 in
-        while !k < nr do
-          let j = rows.(!k) in
-          let stop =
-            if !k + 1 < nr then choice_row.(rows.(!k + 1))
-            else cols.(ncols - 1)
-          in
-          let best = ref Float.neg_infinity and best_i = ref b in
-          let q = ref !p in
-          let scanning = ref true in
-          while !scanning && !q < ncols do
-            let c = cols.(!q) in
-            if c > stop then scanning := false
-            else begin
-              let v = m j c in
-              if v > !best then begin
-                best := v;
-                best_i := c
-              end;
-              if c = stop then scanning := false else incr q
-            end
-          done;
-          cur.(j) <- !best;
-          choice_row.(j) <- !best_i;
-          while !p + 1 < ncols && cols.(!p) < stop do
-            incr p
-          done;
-          k := !k + 2
-        done
-      end
-    end
-  in
-  if n - 1 >= b then begin
-    let idx = Array.init (n - b) (fun k -> b + k) in
-    go idx idx
-  end
-
 (* xorshift64: cheap deterministic sampling, independent of the global
    Random state (lib code must stay reproducible; DESIGN.md §10 D003). *)
 let sample_int state bound =
@@ -250,11 +149,11 @@ let sample_int state bound =
   state := s;
   Int64.to_int (Int64.rem (Int64.logand s Int64.max_int) (Int64.of_int bound))
 
-(* The certificate shared by every fast rung: exact re-solve of up to
-   [samples] evenly spaced columns — value and argmax must match
-   bit-for-bit — plus every region-start column (strided down to
-   [samples] when the decomposition is finer), because the boundaries
-   are exactly where the region-wise D&C re-anchors. *)
+(* The D&C rung's certificate: exact re-solve of up to [samples]
+   evenly spaced columns — value and argmax must match bit-for-bit —
+   plus every region-start column (strided down to [samples] when the
+   decomposition is finer), because the boundaries are exactly where
+   the region-wise D&C re-anchors. *)
 let columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions =
   let ok = ref true in
   let check j =
@@ -281,14 +180,23 @@ let columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions =
   end;
   !ok
 
-(* Rung-1 probe: [samples] adjacent inverse-Monge quadruples on
+(* D&C probe: [samples] adjacent inverse-Monge quadruples on
    seg_value alone, with the column pair (j, j+1) drawn inside one
    region. The dp_{b-1} terms cancel exactly in the real-arithmetic
    quadruple, so they are omitted rather than letting their
    floating-point cancellation (|dp| can exceed |seg delta| by 1e13)
-   manufacture spurious violations. Sound in the fallback direction:
-   any detected oddity, NaN included, rejects the rung. *)
-let monge_valid ~seg ~b ~n ~samples ~regions =
+   manufacture spurious violations.
+
+   A quadruple that fails on seg_value is re-tested on the rounded
+   candidates dp_{b-1}(i-1) + seg i j, the numbers the D&C compares:
+   it rejects the rung when row i+1 beats row i at column j but not at
+   column j+1 (the leftmost argmax could move left, a one-ulp
+   inversion or a tie included), or when a candidate is not finite.
+   Seg-level violations far below one ulp of the dp terms (segments
+   over nearly massless or exp-saturated flows) and totally monotone,
+   non-Monge layers then keep the rung. Sound in the fallback
+   direction: any detected oddity, NaN included, rejects the rung. *)
+let monge_valid ~prev ~seg ~b ~n ~samples ~regions =
   if n - b < 3 then true
   else begin
     let ok = ref true in
@@ -301,68 +209,36 @@ let monge_valid ~seg ~b ~n ~samples ~regions =
       if one_region || region_of regions j = region_of regions (j + 1) then begin
         let a_ij = seg i j and a_i1j1 = seg (i + 1) (j + 1) in
         let a_i1j = seg (i + 1) j and a_ij1 = seg i (j + 1) in
-        if not (a_ij +. a_i1j1 >= a_i1j +. a_ij1) then ok := false
+        if not (a_ij +. a_i1j1 >= a_i1j +. a_ij1) then begin
+          let p = fget prev (i - 1) and p1 = fget prev i in
+          let c_ij = p +. a_ij and c_i1j = p1 +. a_i1j in
+          let c_ij1 = p +. a_ij1 and c_i1j1 = p1 +. a_i1j1 in
+          if
+            (not
+               (Float.is_finite c_ij && Float.is_finite c_i1j
+              && Float.is_finite c_ij1 && Float.is_finite c_i1j1))
+            || (c_ij < c_i1j && not (c_ij1 < c_i1j1))
+          then ok := false
+        end
       end;
       incr s
     done;
     !ok
   end
 
-(* Rung-2 probe: [samples] strict-hypothesis total-monotonicity
-   implications on the rounded candidate matrix (dp terms included —
-   these are exactly the comparisons SMAWK performs, so near-ties make
-   the hypothesis false and the draw vacuous instead of noisy). *)
-let tm_valid ~prev ~seg ~b ~n ~samples =
-  if n - b < 3 then true
-  else begin
-    let ok = ref true in
-    let state = ref (Int64.of_int (0xC2B2AE35 + (b * 0x27D4EB2F))) in
-    let s = ref 0 in
-    let cand i j = fget prev (i - 1) +. seg i j in
-    while !ok && !s < samples do
-      let i = b + sample_int state (n - 2 - b) in
-      let i' = i + 1 + sample_int state (n - 2 - i) in
-      let j = i' + sample_int state (n - 1 - i') in
-      let j' = j + 1 + sample_int state (n - 1 - j) in
-      let a = cand i j
-      and b' = cand i' j
-      and c = cand i j'
-      and d = cand i' j' in
-      if Float.is_nan a || Float.is_nan b' || Float.is_nan c || Float.is_nan d
-      then ok := false
-      else if a < b' && not (c < d) then ok := false;
-      incr s
-    done;
-    !ok
-  end
-
-(* One layer through the ladder. [samples = 0] disables validation and
-   accepts the region-wise D&C outright (documented contract). *)
-let ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
-    ~choice_row ~seg ~b ~n =
+(* One layer through the ladder; [true] when it fell back to the exact
+   row, which rewrites every column [b .. n-1] the D&C wrote. [samples
+   = 0] disables validation and accepts the region-wise D&C outright
+   (documented contract). *)
+let ladder_layer ~samples ~regions ~prev ~cur ~choice_row ~seg ~b ~n =
   dandc_regions ~prev ~cur ~choice_row ~seg ~b ~n ~regions;
   let dandc_ok =
     samples = 0
-    || (monge_valid ~seg ~b ~n ~samples ~regions
+    || (monge_valid ~prev ~seg ~b ~n ~samples ~regions
        && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples ~regions)
   in
-  if not dandc_ok then begin
-    Array.fill cur 0 n Float.neg_infinity;
-    Array.fill choice_row 0 n 0;
-    smawk_layer ~prev ~cur ~choice_row ~seg ~b ~n;
-    let smawk_ok =
-      tm_valid ~prev ~seg ~b ~n ~samples
-      && columns_valid ~prev ~cur ~choice_row ~seg ~b ~n ~samples
-           ~regions:no_regions
-    in
-    if smawk_ok then incr smawk_count
-    else begin
-      incr fallback_count;
-      Array.fill cur 0 n Float.neg_infinity;
-      Array.fill choice_row 0 n 0;
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n
-    end
-  end
+  if not dandc_ok then exact_layer ~prev ~cur ~choice_row ~seg ~b ~n;
+  not dandc_ok
 
 let traceback ~choice ~best_b ~n =
   let rec go b j acc =
@@ -387,11 +263,11 @@ let finish ~choice ~last ~b_max ~n ~stats =
     stats;
   }
 
-let run ~n ~n_bundles ~regions ~smawk_count ~fallback_count ~layer seg_value =
+let run ~n ~n_bundles ~regions ~layer seg_value =
   validate ~n ~n_bundles;
   check_regions ~n regions;
   let b_max = Stdlib.min n_bundles n in
-  let evals = ref 0 in
+  let evals = ref 0 and fallbacks = ref 0 in
   let seg i j =
     incr evals;
     seg_value i j
@@ -407,7 +283,7 @@ let run ~n ~n_bundles ~regions ~smawk_count ~fallback_count ~layer seg_value =
   for b = 1 to b_max - 1 do
     Array.fill cur 0 n Float.neg_infinity;
     let choice_row = choice.(b) in
-    layer ~prev ~cur ~choice_row ~seg ~b;
+    if layer ~prev ~cur ~choice_row ~seg ~b then incr fallbacks;
     last.(b) <- cur.(n - 1);
     Array.blit cur 0 prev 0 n
   done;
@@ -415,24 +291,19 @@ let run ~n ~n_bundles ~regions ~smawk_count ~fallback_count ~layer seg_value =
     ~stats:
       {
         layers = b_max;
-        smawk_layers = !smawk_count;
-        fallback_layers = !fallback_count;
+        fallback_layers = !fallbacks;
         evaluations = !evals;
         regions = Array.length regions;
       }
 
 let solve_quadratic ~n ~n_bundles seg_value =
-  let zero = ref 0 in
-  run ~n ~n_bundles ~regions:no_regions ~smawk_count:zero ~fallback_count:zero
-    seg_value ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n)
+  run ~n ~n_bundles ~regions:no_regions seg_value
+    ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
+      exact_layer ~prev ~cur ~choice_row ~seg ~b ~n;
+      false)
 
 let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
-  let smawk_count = ref 0 and fallback_count = ref 0 in
-  run ~n ~n_bundles ~regions ~smawk_count ~fallback_count seg_value
-    ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-      ladder_layer ~samples ~regions ~smawk_count ~fallback_count ~prev ~cur
-        ~choice_row ~seg ~b ~n)
+  run ~n ~n_bundles ~regions seg_value ~layer:(ladder_layer ~samples ~regions ~n)
 
 (* --- verification --------------------------------------------------------- *)
 
@@ -443,13 +314,13 @@ let solve ?(samples = 16) ?(regions = no_regions) ~n ~n_bundles seg_value =
    given result's cuts and value to be the re-solve's, bit-for-bit. The
    base layer is [seg_value 0 j] by construction, so it needs no draw. *)
 let verify ?(samples = 64) ?(regions = no_regions) ~n ~n_bundles seg_value r =
-  let smawk_count = ref 0 and fallback_count = ref 0 in
   let ok = ref true in
   let again =
-    run ~n ~n_bundles ~regions ~smawk_count ~fallback_count seg_value
+    run ~n ~n_bundles ~regions seg_value
       ~layer:(fun ~prev ~cur ~choice_row ~seg ~b ->
-        ladder_layer ~samples:16 ~regions ~smawk_count ~fallback_count ~prev
-          ~cur ~choice_row ~seg ~b ~n;
+        let fell_back =
+          ladder_layer ~samples:16 ~regions ~prev ~cur ~choice_row ~seg ~b ~n
+        in
         let state = ref (Int64.of_int (0x165667B1 + (b * 0x85EBCA6B))) in
         let draws = Stdlib.min samples (n - b) in
         let s = ref 0 in
@@ -459,7 +330,8 @@ let verify ?(samples = 64) ?(regions = no_regions) ~n ~n_bundles seg_value r =
           if (not (Float.equal cur.(j) best)) || choice_row.(j) <> best_i then
             ok := false;
           incr s
-        done)
+        done;
+        fell_back)
   in
   !ok
   && List.equal Int.equal again.cuts r.cuts

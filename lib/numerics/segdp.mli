@@ -8,22 +8,18 @@
     All solvers share the quadratic DP's exact semantics: ties inside a
     column break toward the smallest split index, and ties across
     segment counts break toward the fewest segments (strict [>]
-    updates). [solve] computes each layer through a three-rung ladder,
-    every rung certified by an exact re-solve of sampled columns (value
-    and argmax bit-for-bit):
+    updates). [solve] computes each layer on one of two rungs:
 
     + region-wise monotone-decision divide and conquer — O(b n log n)
       evaluations when each region's layer matrix is inverse Monge,
       which the closed-form CED/linear/logit segment profits are
       (piecewise, once clamped/underflowed prefix ranges are split out
-      via [regions]); probed with seg-only adjacent Monge quadruples;
-    + SMAWK over the full layer — total monotonicity is strictly weaker
-      than inverse Monge and still gives exact leftmost argmaxes in
-      O(n) evaluations per recursion level; probed with sampled
-      strict-hypothesis TM implications;
-    + the exact quadratic row as a last-resort certified backstop, so a
-      structurally hostile [seg_value] degrades to quadratic time, not
-      to different cuts.
+      via [regions]); kept only when sampled adjacent quadruples
+      (seg-only Monge, else the candidates' pairwise order) and an
+      exact re-solve of sampled columns (value and argmax bit-for-bit)
+      certify it;
+    + otherwise the exact quadratic row, so a structurally hostile
+      [seg_value] degrades to quadratic time, not to different cuts.
 
     The regression suite pins [solve = solve_quadratic] cut-for-cut on
     random markets of every demand spec and on an adversarial corpus of
@@ -31,12 +27,9 @@
 
 type stats = {
   layers : int;  (** DP layers computed, including the base layer. *)
-  smawk_layers : int;
-      (** Layers that failed the Monge spot-check but were accepted on
-          the SMAWK rung ([0] for [solve_quadratic]). *)
   fallback_layers : int;
-      (** Layers that exhausted both fast rungs and were recomputed with
-          the exact quadratic row ([solve] only; always [0] for
+      (** Layers that failed the D&C certificate and were recomputed
+          with the exact quadratic row ([solve] only; always [0] for
           [solve_quadratic]). *)
   evaluations : int;  (** Total [seg_value] calls, checks included. *)
   regions : int;
@@ -67,11 +60,11 @@ val solve :
   n_bundles:int ->
   (int -> int -> float) ->
   result
-(** Ladder solver (region-wise D&C, then SMAWK, then exact fallback);
+(** Two-rung solver (certified region-wise D&C, else the exact row);
     cut-for-cut identical to [solve_quadratic] on every input whose
     hostile structure the spot-checks detect — and the checks fail
     toward the backstop, NaN included. [samples] bounds the exact column
-    re-solves and the Monge/TM probes per layer (default [16]; [0]
+    re-solves and the Monge probes per layer (default [16]; [0]
     disables validation and accepts the D&C rung outright). [regions]
     lists piecewise-region start positions, strictly increasing from
     [0] within [\[0, n)] (default [[|0|]]): the D&C re-anchors its

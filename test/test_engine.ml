@@ -257,6 +257,26 @@ let test_metrics_gc_delta () =
   Alcotest.(check bool) "no GC delta without a run" true
     (Option.is_none (Engine.Metrics.snapshot (Engine.Metrics.create ())).Engine.Metrics.gc)
 
+(* The minor-words delta is the run's own allocation: the same thunk
+   reads the same count however much was allocated before it, and at
+   least the words it is known to allocate (100,000 three-word cons
+   cells). Without the flushes the delta counts whole minor heaps. *)
+let test_metrics_gc_minor_words_exact () =
+  let rec build k acc = if k = 0 then acc else build (k - 1) (k :: acc) in
+  let thunk () = ignore (Sys.opaque_identity (build 100_000 [])) in
+  let words_after prior =
+    ignore (Sys.opaque_identity (build prior []));
+    let (), g = Engine.Metrics.gc_delta thunk in
+    g.Engine.Metrics.minor_words
+  in
+  let counts = List.map words_after [ 0; 1_234; 37_001; 90_000 ] in
+  let first = List.hd counts in
+  List.iter
+    (fun w -> Alcotest.(check (float 0.)) "same minor words" first w)
+    counts;
+  Alcotest.(check bool) "at least the thunk's 300,000 words" true
+    (first >= 300_000.)
+
 (* (e) A bounded disk tier never holds more than max_bytes of payload,
    whatever the (randomized) insert sizes; evicted artifacts recompute
    instead of erroring. *)
@@ -580,6 +600,8 @@ let suite =
       test_stale_market_schema_recomputed;
     Alcotest.test_case "metrics: per-run GC delta, no feedback" `Quick
       test_metrics_gc_delta;
+    Alcotest.test_case "metrics: minor words exact across prior allocation"
+      `Quick test_metrics_gc_minor_words_exact;
     Alcotest.test_case "pool survives raising tasks" `Quick
       test_pool_survives_exception;
     Alcotest.test_case "cache eviction skips unremovable payloads" `Quick

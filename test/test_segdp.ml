@@ -71,18 +71,16 @@ let test_forced_fallback () =
   (* Convex segment value: seg i j = (j - i)^2 violates the adjacent
      inverse-Monge condition everywhere (2 d^2 < (d-1)^2 + (d+1)^2), so
      the Monge spot-check must kick the layer off the D&C rung, and
-     whichever later rung accepts it (SMAWK or the quadratic backstop)
-     must still return the quadratic DP's exact cuts. The optimum here
-     is a single huge segment, but intermediate layers are hostile. *)
+     the quadratic backstop must still return the quadratic DP's exact
+     cuts. The optimum here is a single huge segment, but intermediate
+     layers are hostile. *)
   let seg i j = float_of_int ((j - i) * (j - i)) in
   let n = 40 and n_bundles = 5 in
   let fast = Numerics.Segdp.solve ~n ~n_bundles seg in
   let exact = Numerics.Segdp.solve_quadratic ~n ~n_bundles seg in
   Alcotest.(check bool)
     "spot-check tripped" true
-    (fast.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers
-     + fast.Numerics.Segdp.stats.Numerics.Segdp.smawk_layers
-    >= 1);
+    (fast.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers >= 1);
   check_same "fallback" fast exact
 
 let test_fallback_disabled_sampling_still_exact_on_monge () =
@@ -307,6 +305,36 @@ let test_verify () =
         [ 40; 500; 2000 ])
     [ ("ced", `Ced); ("logit", `Logit); ("linear", `Linear) ]
 
+(* The paper's own markets never leave the D&C rung: on the three
+   paper networks under each demand model, every layer passes the
+   certificate and the result is the quadratic DP's, bit-for-bit. The
+   quadratic backstop is for hostile inputs only. *)
+let test_paper_markets_stay_on_dandc () =
+  List.iter
+    (fun network ->
+      List.iter
+        (fun (spec_name, spec) ->
+          let m = Experiment.market ~spec network in
+          let _order, seg_value, regions = Strategy.dp_inputs m in
+          let n = Market.n_flows m in
+          List.iter
+            (fun b ->
+              let name = Printf.sprintf "%s %s B=%d" network spec_name b in
+              let fast =
+                Numerics.Segdp.solve ~regions ~n ~n_bundles:b seg_value
+              in
+              check_same name fast
+                (Numerics.Segdp.solve_quadratic ~n ~n_bundles:b seg_value);
+              Alcotest.(check int) (name ^ " no backstop") 0
+                fast.Numerics.Segdp.stats.Numerics.Segdp.fallback_layers)
+            [ 2; 3; 4; 6; 10 ])
+        [
+          ("ced", Market.Ced);
+          ("logit", Market.Logit { s0 = 0.2 });
+          ("linear", Market.Linear { epsilon = 1.8 });
+        ])
+    [ "eu_isp"; "internet2"; "cdn" ]
+
 let suite =
   [
     Alcotest.test_case "argument validation" `Quick test_validation;
@@ -328,4 +356,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hostile_logit_decomposed;
     QCheck_alcotest.to_alcotest prop_evals_monotone_in_n;
     QCheck_alcotest.to_alcotest prop_cuts_valid;
+    Alcotest.test_case "paper markets stay on the d&c rung" `Quick
+      test_paper_markets_stay_on_dandc;
   ]

@@ -1,10 +1,11 @@
 open Tiered
 
-(* Adversarial corpus for the Segdp ladder (DESIGN.md §11): every
-   fixture is built to stress one rung — the region-wise D&C on
-   decomposed clamped logit, the SMAWK rung on Monge-violating but
-   totally monotone layers, and the quadratic backstop on layers no
-   fast rung can certify — and every one is pinned cut-for-cut against
+(* Adversarial corpus for the two-rung Segdp ladder (DESIGN.md §11):
+   every fixture is built to stress one rung — the region-wise D&C on
+   decomposed clamped logit and on a totally monotone, non-Monge
+   layer, the quadratic backstop on layers the D&C certificate rejects
+   (a one-ulp candidate inversion, chaotic, NaN-adjacent) — and every
+   one is pinned cut-for-cut against
    [solve_quadratic]. The per-path stats assertions keep the corpus
    honest: if a kernel change reroutes a fixture onto a different rung,
    the test fails loudly instead of silently testing nothing. *)
@@ -90,33 +91,59 @@ let test_absorbed_weights () =
   let costs = Array.init n (fun k -> 1. +. (0.5 *. float_of_int k)) in
   check_decomposed_logit "absorbed weights" ~valuations ~costs
 
-(* --- SMAWK rung (totally monotone, not inverse Monge) ------------------- *)
+(* --- totally monotone, not inverse Monge: the D&C rung ---------------- *)
 
-let test_smawk_rung () =
+let test_tm_non_monge_dandc () =
   (* seg i j = (1 + j) * b(i) with b alternating: the base layer is
      identically 0, so layer 1's candidate matrix IS this product —
      totally monotone (the column order of every row is the order of
      b(i), independent of j) but wildly non-Monge (adjacent quadruple
-     deltas alternate sign). The Monge probe must kick it off the D&C
-     rung and SMAWK must accept it, leftmost ties included. *)
+     deltas alternate sign). The seg-only Monge quadruples fail, their
+     re-test on the candidates finds no row pair whose order flips
+     from one column to the next, and monotone argmaxes are all the
+     D&C needs: it must keep the layer, leftmost ties included. *)
   let b_of i = if i land 1 = 0 then 2. else 1. in
   let seg i j = if i = 0 then 0. else (1. +. float_of_int j) *. b_of i in
   let n = 80 in
   let fast = Numerics.Segdp.solve ~n ~n_bundles:2 seg in
   let exact = Numerics.Segdp.solve_quadratic ~n ~n_bundles:2 seg in
-  check_same "smawk" fast exact;
-  Alcotest.(check int) "smawk rung accepted the layer" 1
-    (stats fast).Numerics.Segdp.smawk_layers;
-  Alcotest.(check int) "no backstop" 0
+  check_same "tm non-monge" fast exact;
+  Alcotest.(check int) "d&c kept the layer" 0
+    (stats fast).Numerics.Segdp.fallback_layers
+
+let test_one_ulp_inversion () =
+  (* Row 1 starts from dp = 2 and wins every column of layer 1, so the
+     D&C's answer is right; rows 2.. start from dp = 1 and carry
+     segment values u (64 +- i), u = epsilon_float, with the sign
+     flipping between even and odd j. On an even column row i+1 beats
+     row i by one ulp; on the next column row i beats row i+1 by one
+     ulp — the inversion that moves a leftmost argmax left. The seg
+     quadruple fails by 2u, and the two candidate pair sums (2 + 127u
+     and 2 + 129u) both round to 2 + 128u, so a re-test on those sums
+     would pass. The probe compares the candidates pairwise, as the
+     D&C does, and must reject the rung. *)
+  let u = epsilon_float in
+  let seg i j =
+    if i = 0 then if j = 0 then 2. else 1.
+    else
+      let sign = if j land 1 = 0 then 1. else -1. in
+      u *. (64. +. (sign *. float_of_int i))
+  in
+  let n = 20 in
+  let fast = Numerics.Segdp.solve ~n ~n_bundles:2 seg in
+  let exact = Numerics.Segdp.solve_quadratic ~n ~n_bundles:2 seg in
+  check_same "one-ulp inversion" fast exact;
+  Alcotest.check cuts_testable "row 1 wins" [ 1 ] fast.Numerics.Segdp.cuts;
+  Alcotest.(check int) "backstop carried the layer" 1
     (stats fast).Numerics.Segdp.fallback_layers
 
 (* --- quadratic backstop (no structure at all) --------------------------- *)
 
 (* Deterministic pseudo-random seg_value: splitmix-style avalanche of
-   (i, j) into [0, 1). No monotone structure survives, so both fast
-   rungs must be rejected by their probes and the exact quadratic row
-   must carry the layer — and the result is still, by construction,
-   cut-for-cut the quadratic DP's. *)
+   (i, j) into [0, 1). No monotone structure survives, so the D&C
+   probes must reject the rung and the exact quadratic row must carry
+   the layer — and the result is still, by construction, cut-for-cut
+   the quadratic DP's. *)
 let chaotic_seg n i j =
   let z = Int64.of_int ((i * n) + j + 1) in
   let z = Int64.mul z 0x9E3779B97F4A7C15L in
@@ -161,8 +188,6 @@ let test_constant_rows () =
   let fast = Numerics.Segdp.solve ~n:64 ~n_bundles:5 seg in
   check_same "constant" fast (Numerics.Segdp.solve_quadratic ~n:64 ~n_bundles:5 seg);
   Alcotest.check cuts_testable "single segment" [] fast.Numerics.Segdp.cuts;
-  Alcotest.(check int) "pure d&c (no smawk)" 0
-    (stats fast).Numerics.Segdp.smawk_layers;
   Alcotest.(check int) "pure d&c (no backstop)" 0
     (stats fast).Numerics.Segdp.fallback_layers;
   Alcotest.(check int) "undecomposed" 1 (stats fast).Numerics.Segdp.regions
@@ -209,7 +234,10 @@ let suite =
       test_clamped_logit_underflow_and_saturation;
     Alcotest.test_case "absorbed weights decompose" `Quick
       test_absorbed_weights;
-    Alcotest.test_case "smawk rung (TM, non-Monge)" `Quick test_smawk_rung;
+    Alcotest.test_case "TM, non-Monge: d&c rung" `Quick
+      test_tm_non_monge_dandc;
+    Alcotest.test_case "one-ulp inversion: backstop" `Quick
+      test_one_ulp_inversion;
     Alcotest.test_case "backstop rung (chaotic seg)" `Quick test_backstop_rung;
     Alcotest.test_case "nan-adjacent plateau" `Quick test_nan_adjacent_plateau;
     Alcotest.test_case "constant rows" `Quick test_constant_rows;
